@@ -164,16 +164,19 @@ int main(int argc, char** argv) {
     tensor::Tensor x2(tensor::Shape{8, 32, 8, 8}), w2(tensor::Shape{32, 32, 3, 3});
     fill(x1, true); fill(w1, false); fill(x2, true); fill(w2, false);
     tensor::Tensor no_bias;
-    core::OdqLayerStats s1, s2;
+    // odq_conv_float overwrites its stats out-parameter, so each call's
+    // stats are merged into a running total: the phase cells then cover the
+    // same 10 iterations as odq_seconds.
+    core::OdqLayerStats total, s;
     (void)core::odq_conv_float(x1, w1, no_bias, 1, 1, sweep_cfg);  // warm-up
     util::WallTimer sweep_t;
     for (int i = 0; i < 10; ++i) {
-      (void)core::odq_conv_float(x1, w1, no_bias, 1, 1, sweep_cfg, &s1);
-      (void)core::odq_conv_float(x2, w2, no_bias, 1, 1, sweep_cfg, &s2);
+      (void)core::odq_conv_float(x1, w1, no_bias, 1, 1, sweep_cfg, &s);
+      total.merge(s);
+      (void)core::odq_conv_float(x2, w2, no_bias, 1, 1, sweep_cfg, &s);
+      total.merge(s);
     }
     const double secs = sweep_t.seconds();
-    core::OdqLayerStats total = s1;
-    total.merge(s2);
     std::printf("%-10.2f %-14.4f %-10.3f\n", thr, total.sensitive_fraction(),
                 secs);
     char thr_label[32];

@@ -29,11 +29,16 @@ using tensor::TensorU8;
 namespace {
 
 // Quantize activations per the config: max calibration, or clipping at the
-// configured quantile of the (non-negative) activation distribution.
-QTensor quantize_input(const Tensor& input, const OdqConfig& cfg) {
+// configured quantile of the (non-negative) activation distribution. A
+// caller that already scanned the input passes its max (> 0) as
+// `input_max`, which is exactly the clip quantize_activations would compute
+// for itself, so the codes are unchanged and one pass is saved.
+QTensor quantize_input(const Tensor& input, const OdqConfig& cfg,
+                       float input_max = -1.0f) {
   ODQ_TRACE_SPAN("odq.quantize");
-  const float clip =
+  float clip =
       quant::activation_clip_from_percentile(input, cfg.act_clip_percentile);
+  if (clip <= 0.0f) clip = input_max;
   return quant::quantize_activations(input, cfg.total_bits, clip);
 }
 
@@ -100,10 +105,12 @@ void record_odq_fidelity(const Tensor& input, const Tensor& weight,
 // never selects anything, and a collapsed or non-finite activation range
 // makes the predictor magnitudes meaningless. One linear scan of the input;
 // negligible next to the conv itself and NaN-safe (a plain max would let
-// NaN slip through std::max's ordering).
-const char* odq_degenerate_reason(const Tensor& input, float threshold) {
+// NaN slip through std::max's ordering). On success `amax` holds the input
+// max, which quantize_input reuses as its clip.
+const char* odq_degenerate_reason(const Tensor& input, float threshold,
+                                  float& amax) {
   if (!std::isfinite(threshold)) return "non-finite sensitivity threshold";
-  float amax = 0.0f;
+  amax = 0.0f;
   const float* p = input.data();
   for (std::int64_t i = 0; i < input.numel(); ++i) {
     const float v = p[i];
@@ -335,10 +342,12 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
                             std::int64_t pad, int conv_id) {
   obs::TraceSpan span("odq.conv");
   span.arg("conv_id", conv_id);
-  if (const char* reason = odq_degenerate_reason(input, cfg_.threshold)) {
+  float input_max = 0.0f;
+  if (const char* reason =
+          odq_degenerate_reason(input, cfg_.threshold, input_max)) {
     return run_fallback(input, weight, bias, stride, pad, conv_id, reason);
   }
-  QTensor qin = quantize_input(input, cfg_);
+  QTensor qin = quantize_input(input, cfg_, input_max);
   QTensor qw = quantize_weight(weight, cfg_);
   OdqConvResult r = odq_conv(qin, qw, stride, pad, cfg_);
 

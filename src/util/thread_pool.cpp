@@ -1,8 +1,11 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,7 +13,9 @@
 namespace odq::util {
 
 namespace {
-thread_local bool t_in_worker = false;
+// Set for a pool worker's lifetime, and on a caller while it runs its own
+// parallel_for chunks.
+thread_local bool t_in_parallel_for = false;
 
 // Observability handles, resolved once. Recording is a no-op (one relaxed
 // load inside the metric) while ODQ_METRICS is off.
@@ -32,6 +37,53 @@ bool observing() { return obs::metrics_enabled() || obs::trace_enabled(); }
 
 }  // namespace
 
+// Heap-held so that a helper dequeued after the caller has returned still
+// finds valid counters. The caller's body lives on the caller's stack; it is
+// dereferenced only for a claimed chunk, and the caller does not return
+// before every claimed chunk has finished.
+struct ThreadPool::Job {
+  using Body = std::function<void(std::int64_t, std::int64_t)>;
+
+  Job(const Body& body, std::int64_t n, std::int64_t step)
+      : body(&body),
+        n(n),
+        step(step),
+        chunks((n + step - 1) / step),
+        pending(static_cast<int>(chunks)) {}
+
+  // Claims and runs chunks until none are left unclaimed.
+  void run_chunks() {
+    for (std::int64_t c = next++; c < chunks; c = next++) {
+      const std::int64_t begin = c * step;
+      try {
+        (*body)(begin, std::min(begin + step, n));
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+      // The decrement publishes the chunk's writes (and `error`) to wait().
+      if (--pending == 0) pending.notify_one();
+    }
+  }
+
+  // Blocks until every chunk has finished, then rethrows the first
+  // exception a chunk raised.
+  void wait() {
+    for (int left = pending.load(); left != 0; left = pending.load()) {
+      pending.wait(left);
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+  const Body* body;
+  const std::int64_t n;
+  const std::int64_t step;
+  const std::int64_t chunks;
+  std::atomic<std::int64_t> next{0};  // next unclaimed chunk
+  std::atomic<int> pending;           // chunks not yet finished
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written only by the chunk that set `failed`
+};
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -51,25 +103,21 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::submit(const std::shared_ptr<Job>& job, std::size_t helpers) {
   const double enqueue_us = observing() ? obs::trace_now_us() : 0.0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(Task{std::move(task), enqueue_us});
-    ++in_flight_;
+    for (std::size_t i = 0; i < helpers; ++i) {
+      tasks_.push(Task{job, enqueue_us});
+    }
   }
-  task_cv_.notify_one();
+  for (std::size_t i = 0; i < helpers; ++i) task_cv_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-bool ThreadPool::in_worker() { return t_in_worker; }
+bool ThreadPool::in_parallel_for() { return t_in_parallel_for; }
 
 void ThreadPool::worker_loop() {
-  t_in_worker = true;
+  t_in_parallel_for = true;
   for (;;) {
     Task task;
     {
@@ -84,17 +132,13 @@ void ThreadPool::worker_loop() {
       if (task.enqueue_us > 0.0) {
         queue_wait_dist().record(start_us - task.enqueue_us);
       }
-      task.fn();
+      task.job->run_chunks();
       const double end_us = obs::trace_now_us();
       tasks_counter().increment();
       busy_us_counter().add(static_cast<std::int64_t>(end_us - start_us));
       obs::trace_record("pool.task", start_us, end_us - start_us);
     } else {
-      task.fn();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
+      task.job->run_chunks();
     }
   }
 }
@@ -120,12 +164,14 @@ void parallel_for_dispatch(
   ThreadPool& pool = ThreadPool::global();
   const auto workers = static_cast<std::int64_t>(pool.size());
   const std::int64_t chunks = std::min(workers * 4, (n + grain - 1) / grain);
-  const std::int64_t step = (n + chunks - 1) / chunks;
-  for (std::int64_t begin = 0; begin < n; begin += step) {
-    const std::int64_t end = std::min(begin + step, n);
-    pool.submit([&body, begin, end] { body(begin, end); });
-  }
-  pool.wait_idle();
+  const auto job = std::make_shared<ThreadPool::Job>(
+      body, n, /*step=*/(n + chunks - 1) / chunks);
+  pool.submit(job, static_cast<std::size_t>(
+                       std::min(workers - 1, job->chunks - 1)));
+  const bool outer = std::exchange(t_in_parallel_for, true);
+  job->run_chunks();
+  t_in_parallel_for = outer;
+  job->wait();
 }
 
 }  // namespace odq::util

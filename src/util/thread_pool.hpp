@@ -1,4 +1,5 @@
-// A small work-stealing-free thread pool plus a chunked parallel_for.
+// A small work-stealing-free thread pool plus a chunked fork-join
+// parallel_for.
 //
 // The library is written to scale with hardware threads but remains fully
 // correct (and overhead-free on the hot path) when only one core is
@@ -9,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -27,38 +29,40 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // Enqueue a task. Tasks must not throw; exceptions terminate.
-  void submit(std::function<void()> task);
-
-  // Block until every submitted task has finished.
-  void wait_idle();
-
   // Process-wide pool, sized from ODQ_THREADS env var or hardware
   // concurrency. Constructed on first use.
   static ThreadPool& global();
 
-  // True when the calling thread is one of the global pool's workers.
-  // parallel_for uses this to run nested calls inline: a worker blocking in
-  // wait_idle() would never see in_flight_ reach zero (its own task is still
-  // counted), so nesting must degrade to serial execution instead.
-  static bool in_worker();
+  // True on a pool worker, and on a caller while it runs chunks of its own
+  // parallel_for. parallel_for runs nested calls from either inline: the
+  // enclosing region already keeps the pool busy, so fanning out again
+  // would only oversubscribe it.
+  static bool in_parallel_for();
 
  private:
-  // A queued task plus its enqueue timestamp (µs on the obs trace clock;
-  // 0 when observability is off) so workers can report queue-wait time.
+  friend void parallel_for_dispatch(
+      std::int64_t, const std::function<void(std::int64_t, std::int64_t)>&,
+      std::int64_t);
+
+  // One parallel_for call's shared state (defined in thread_pool.cpp).
+  struct Job;
+
+  // A queued helper for a job plus its enqueue timestamp (µs on the obs
+  // trace clock; 0 when observability is off) so workers can report
+  // queue-wait time.
   struct Task {
-    std::function<void()> fn;
+    std::shared_ptr<Job> job;
     double enqueue_us = 0.0;
   };
 
+  // Queue `helpers` tasks that each claim chunks of `job` until none remain.
+  void submit(const std::shared_ptr<Job>& job, std::size_t helpers);
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::queue<Task> tasks_;
   std::mutex mutex_;
   std::condition_variable task_cv_;
-  std::condition_variable idle_cv_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 
@@ -73,15 +77,18 @@ void parallel_for_dispatch(
 // With a single worker (or tiny n) the body runs inline on the caller — a
 // direct call, so the compiler can inline and optimize the loop body exactly
 // as if it were written in place (type-erasing the body through
-// std::function on a 1-core host cost ~25% on the ODQ hot loop). Nested
-// calls (body itself calling parallel_for) also run inline on the worker.
-// Concurrent top-level callers are safe: each caller's wait only returns
-// once the pool drains, which over-waits but never deadlocks.
-// The body must be safe to run concurrently on disjoint ranges.
+// std::function on a 1-core host cost ~25% on the ODQ hot loop). Otherwise
+// the caller claims chunks alongside up to size()-1 pool helpers and waits
+// only for its own chunks, never for another caller's, so concurrent
+// top-level callers proceed independently. Nested calls (a body that itself
+// calls parallel_for, on a worker or on the caller) run inline. If a chunk
+// throws, the first exception is rethrown on the caller once every claimed
+// chunk has finished. The body must be safe to run concurrently on disjoint
+// ranges.
 template <typename Body>
 void parallel_for(std::int64_t n, Body&& body, std::int64_t grain = 1024) {
   if (n <= 0) return;
-  if (ThreadPool::in_worker() || ThreadPool::global().size() <= 1 ||
+  if (ThreadPool::in_parallel_for() || ThreadPool::global().size() <= 1 ||
       n <= grain) {
     body(0, n);
     return;

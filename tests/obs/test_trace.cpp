@@ -114,8 +114,9 @@ TEST_F(TraceTest, ParallelForCapturesWorkerSpansThatNest) {
   EXPECT_EQ(sum.load(), 64 * 63 / 2);
 
   const std::vector<obs::TraceEvent> events = obs::trace_events();
-  // At least: the region span, pool.parallel_for, several pool.task spans
-  // and the per-chunk spans (from more than one worker thread).
+  // At least: the region span, pool.parallel_for and the per-chunk spans
+  // from more than one thread. The caller runs chunks too and one pool.task
+  // may run several, so pool.task counts are not pinned.
   std::map<std::string, int> count;
   std::map<std::uint32_t, int> by_tid;
   for (const obs::TraceEvent& e : events) {
@@ -125,8 +126,7 @@ TEST_F(TraceTest, ParallelForCapturesWorkerSpansThatNest) {
   EXPECT_EQ(count["test.parallel_region"], 1);
   EXPECT_EQ(count["pool.parallel_for"], 1);
   EXPECT_GE(count["test.chunk"], 4);
-  EXPECT_EQ(count["pool.task"], count["test.chunk"]);
-  EXPECT_GE(by_tid.size(), 2u) << "chunks should run on multiple workers";
+  EXPECT_GE(by_tid.size(), 2u) << "chunks should run on multiple threads";
 
   // Spans on each thread obey stack discipline: sorted by start time, every
   // span either nests inside the previous open span or starts after it
