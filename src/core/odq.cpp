@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "gemm/gemm.hpp"
@@ -103,20 +104,39 @@ void record_odq_fidelity(const Tensor& input, const Tensor& weight,
 // scheme, else a short reason string. ODQ's sensitivity threshold compares
 // |dequantized predictor| against cfg.threshold — a non-finite threshold
 // never selects anything, and a collapsed or non-finite activation range
-// makes the predictor magnitudes meaningless. One linear scan of the input;
-// negligible next to the conv itself and NaN-safe (a plain max would let
-// NaN slip through std::max's ordering). On success `amax` holds the input
-// max, which quantize_input reuses as its clip.
+// makes the predictor magnitudes meaningless. One branch-free linear scan
+// of the input: each lane keeps a running max (NaN never wins the compare)
+// and a poison sum of v - v, which is 0 for finite v and NaN for NaN or
+// ±inf; the verdict is taken once, after the loop. On success `amax` holds
+// the input max, which quantize_input reuses as its clip.
 const char* odq_degenerate_reason(const Tensor& input, float threshold,
                                   float& amax) {
   if (!std::isfinite(threshold)) return "non-finite sensitivity threshold";
-  amax = 0.0f;
+  constexpr std::int64_t kLanes = 8;
+  float mx[kLanes] = {};
+  float poison[kLanes] = {};
   const float* p = input.data();
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float v = p[i];
-    if (!std::isfinite(v)) return "non-finite activation";
-    if (v > amax) amax = v;
+  const std::int64_t n = input.numel();
+  std::int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      const float v = p[i + l];
+      mx[l] = v > mx[l] ? v : mx[l];
+      poison[l] += v - v;
+    }
   }
+  for (std::int64_t l = 0; i < n; ++i, ++l) {
+    const float v = p[i];
+    mx[l] = v > mx[l] ? v : mx[l];
+    poison[l] += v - v;
+  }
+  amax = 0.0f;
+  float bad = 0.0f;
+  for (std::int64_t l = 0; l < kLanes; ++l) {
+    amax = mx[l] > amax ? mx[l] : amax;
+    bad += poison[l];
+  }
+  if (bad != bad) return "non-finite activation";
   if (amax <= 0.0f) return "collapsed activation range (no positive values)";
   return nullptr;
 }
@@ -251,12 +271,15 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
   return res;
 }
 
-OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
-                       std::int64_t stride, std::int64_t pad,
-                       const OdqConfig& cfg) {
-  if (cfg.num_threads == 1) {
-    return odq_conv_reference(input, weight, stride, pad, cfg);
-  }
+namespace {
+
+// The packed pipeline odq_conv and OdqConvExecutor::run share: packs the
+// activations, then runs the predictor GEMM and the sparse epilogue against
+// `wts`, the filter panels the caller packed from `weight`'s codes.
+OdqConvResult odq_conv_packed(const QTensor& input, const QTensor& weight,
+                              const gemm::PackedSplitWeights& wts,
+                              std::int64_t stride, std::int64_t pad,
+                              const OdqConfig& cfg) {
   check_bits(input, weight, cfg);
   const int lb = cfg.low_bits;
 
@@ -271,16 +294,14 @@ OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
   OdqConvResult res;
   res.scale = input.scale * weight.scale;
 
-  // Step 2 fused with packing: one pass over the codes produces the
-  // digit-split (HBS/LBS), cache-blocked im2col rows and filter panels the
-  // whole pipeline shares (gemm/packed.hpp).
+  // Step 2 fused with packing: the activation codes are digit-split (HBS/
+  // LBS) once and copied into the cache-blocked im2col rows the whole
+  // pipeline shares (gemm/packed.hpp).
   gemm::PackedSplitIm2col cols;
-  gemm::PackedSplitWeights wts;
   {
     ODQ_TRACE_SPAN("odq.pack");
     util::WallTimer timer;
     cols = gemm::pack_im2col_split(input.q, lb, kh, kw, stride, pad);
-    wts = gemm::pack_weights_split(weight.q, lb);
     res.stats.pack_seconds = timer.seconds();
   }
 
@@ -319,6 +340,19 @@ OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
   return res;
 }
 
+}  // namespace
+
+OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
+                       std::int64_t stride, std::int64_t pad,
+                       const OdqConfig& cfg) {
+  if (cfg.num_threads == 1) {
+    return odq_conv_reference(input, weight, stride, pad, cfg);
+  }
+  return odq_conv_packed(input, weight,
+                         gemm::pack_weights_split(weight.q, cfg.low_bits),
+                         stride, pad, cfg);
+}
+
 Tensor odq_conv_float(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, std::int64_t stride, std::int64_t pad,
                       const OdqConfig& cfg, OdqLayerStats* stats,
@@ -337,6 +371,44 @@ Tensor odq_conv_float(const Tensor& input, const Tensor& weight,
   return out;
 }
 
+// One conv's weights, prepared once: the float weights the entry was
+// built from (the key run() validates against), their INT4 codes and scale,
+// and the HBS/LBS filter panels. Immutable once published.
+struct OdqConvExecutor::PreparedWeights {
+  Tensor source;
+  QTensor codes;
+  gemm::PackedSplitWeights panels;
+
+  bool matches(const Tensor& weight) const {
+    return source.shape() == weight.shape() &&
+           (weight.numel() == 0 ||
+            std::memcmp(source.data(), weight.data(),
+                        static_cast<std::size_t>(weight.numel()) *
+                            sizeof(float)) == 0);
+  }
+};
+
+std::shared_ptr<const OdqConvExecutor::PreparedWeights>
+OdqConvExecutor::prepared_weights(const Tensor& weight, int conv_id) {
+  const auto id = static_cast<std::size_t>(std::max(conv_id, 0));
+  std::shared_ptr<const PreparedWeights> entry;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (id < prepared_.size()) entry = prepared_[id];
+  }
+  // Validated by content, outside the lock: whoever wrote the weights since
+  // (an optimizer step, a checkpoint load, a test) needs to tell no one.
+  if (entry != nullptr && entry->matches(weight)) return entry;
+  auto fresh = std::make_shared<PreparedWeights>();
+  fresh->source = weight;
+  fresh->codes = quantize_weight(weight, cfg_);
+  fresh->panels = gemm::pack_weights_split(fresh->codes.q, cfg_.low_bits);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (prepared_.size() <= id) prepared_.resize(id + 1);
+  prepared_[id] = fresh;
+  return fresh;
+}
+
 Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
                             const Tensor& bias, std::int64_t stride,
                             std::int64_t pad, int conv_id) {
@@ -348,8 +420,13 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
     return run_fallback(input, weight, bias, stride, pad, conv_id, reason);
   }
   QTensor qin = quantize_input(input, cfg_, input_max);
-  QTensor qw = quantize_weight(weight, cfg_);
-  OdqConvResult r = odq_conv(qin, qw, stride, pad, cfg_);
+  const std::shared_ptr<const PreparedWeights> prep =
+      prepared_weights(weight, conv_id);
+  OdqConvResult r =
+      cfg_.num_threads == 1
+          ? odq_conv_reference(qin, prep->codes, stride, pad, cfg_)
+          : odq_conv_packed(qin, prep->codes, prep->panels, stride, pad,
+                            cfg_);
 
   Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
   if (obs::fidelity_enabled()) {

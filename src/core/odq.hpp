@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -62,9 +63,10 @@ struct OdqLayerStats {
   std::int64_t predictor_macs = 0;  // INT2 MACs (every output)
   std::int64_t executor_macs = 0;   // remaining MACs (sensitive outputs only)
   // Phase wall time of the packed-GEMM pipeline (zero on the serial
-  // reference path, which has no pack/GEMM phases): operand packing +
-  // digit split, predictor INT-GEMM, and mask-aware sparse result
-  // generation. Additive across calls, like the MAC counters.
+  // reference path, which has no pack/GEMM phases): activation digit split
+  // + packing (weights are packed outside this phase), predictor INT-GEMM,
+  // and mask-aware sparse result generation. Additive across calls, like
+  // the MAC counters.
   double pack_seconds = 0.0;
   double gemm_seconds = 0.0;
   double sparse_epilogue_seconds = 0.0;
@@ -138,6 +140,10 @@ tensor::Tensor odq_conv_float(const tensor::Tensor& input,
 // path instead, incrementing the `odq.fallback` obs counter once per run
 // and logging once per layer. The model keeps serving; docs/robustness.md
 // has the semantics.
+//
+// Weights are quantized and packed once per conv id and reused while the
+// incoming weight tensor keeps the same shape and bytes (validated by
+// content on every call, so weight writers need not notify anyone).
 class OdqConvExecutor : public nn::ConvExecutor {
  public:
   explicit OdqConvExecutor(OdqConfig cfg) : cfg_(cfg) {}
@@ -174,6 +180,13 @@ class OdqConvExecutor : public nn::ConvExecutor {
   std::vector<float> calibration_samples() const;
 
  private:
+  struct PreparedWeights;
+
+  // The prepared entry for conv `conv_id`, rebuilt and swapped in when
+  // `weight` differs from the float weights it was built from.
+  std::shared_ptr<const PreparedWeights> prepared_weights(
+      const tensor::Tensor& weight, int conv_id);
+
   tensor::Tensor run_fallback(const tensor::Tensor& input,
                               const tensor::Tensor& weight,
                               const tensor::Tensor& bias, std::int64_t stride,
@@ -187,6 +200,10 @@ class OdqConvExecutor : public nn::ConvExecutor {
   std::vector<std::vector<std::int64_t>> last_channel_counts_;
   std::vector<std::int64_t> fallback_counts_;
   std::vector<float> calib_samples_;
+  // Read-only prepared weights per conv id (docs/quantization.md, "Prepared
+  // weights"). Snapshotted and swapped under mutex_; reset_stats() keeps
+  // them.
+  std::vector<std::shared_ptr<const PreparedWeights>> prepared_;
 };
 
 }  // namespace odq::core

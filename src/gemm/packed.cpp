@@ -1,5 +1,8 @@
 #include "gemm/packed.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -14,7 +17,7 @@ using tensor::TensorI8;
 namespace {
 
 struct ConvGeometry {
-  std::int64_t n, c, h, w, oh, ow, k;
+  std::int64_t n, c, h, w, kh, kw, stride, pad, oh, ow, rows, k, k_padded;
 };
 
 ConvGeometry check_geometry(const Shape& s, std::int64_t kh, std::int64_t kw,
@@ -27,66 +30,120 @@ ConvGeometry check_geometry(const Shape& s, std::int64_t kh, std::int64_t kw,
   g.c = s[1];
   g.h = s[2];
   g.w = s[3];
+  g.kh = kh;
+  g.kw = kw;
+  g.stride = stride;
+  g.pad = pad;
   g.oh = tensor::conv_out_dim(g.h, kh, stride, pad);
   g.ow = tensor::conv_out_dim(g.w, kw, stride, pad);
   if (g.oh <= 0 || g.ow <= 0) {
     throw std::invalid_argument(
         "gemm::pack_im2col: kernel larger than padded input");
   }
+  g.rows = g.oh * g.ow;
   g.k = g.c * kh * kw;
+  g.k_padded = pad_k(g.k);
   return g;
 }
 
 template <typename T>
 void init_packed(PackedIm2colT<T>& p, const ConvGeometry& g) {
   p.batches = g.n;
-  p.rows = g.oh * g.ow;
+  p.rows = g.rows;
   p.k = g.k;
-  p.k_padded = pad_k(g.k);
+  p.k_padded = g.k_padded;
   p.oh = g.oh;
   p.ow = g.ow;
   p.data.assign(static_cast<std::size_t>(g.n * p.rows * p.k_padded), T{});
 }
 
-// Shared row walker: for each packed row (one output pixel), visit the
-// receptive field in im2col order (ic, ki, kj) and call emit(p, value) for
-// in-bounds taps; out-of-bounds and depth-padding entries stay zero from
-// init_packed. Tiled over (batch, output-row blocks): every tile writes a
-// disjoint slice of rows, so results are identical at any pool size.
-template <typename Src, typename Emit>
-void walk_rows(const ConvGeometry& g, std::int64_t kh, std::int64_t kw,
-               std::int64_t stride, std::int64_t pad, std::int64_t rows,
-               const Src* src, const Emit& emit) {
-  const std::int64_t row_blocks = (rows + kRowTile - 1) / kRowTile;
+// Copies one run of `run` elements; KW > 0 with a full run is a fixed-size
+// copy the compiler turns into a few wide moves.
+template <std::int64_t KW, typename T>
+inline void copy_run(const T* s, T* o, std::int64_t run) {
+  if (KW > 0 && run == KW) {
+    std::memcpy(o, s, KW * sizeof(T));
+  } else {
+    for (std::int64_t j = 0; j < run; ++j) o[j] = s[j];
+  }
+}
+
+// Copies the receptive field of every output pixel in rows [r0, r1) of
+// batch element b into its packed row, in im2col order (ic, ki, kj). The
+// columns a row reads are clipped to the input once per row, so each
+// (ic, ki) in bounds is one contiguous run copied from a source line; taps
+// in the padding and the depth padding stay zero from init_packed. The P
+// source planes share one NCHW geometry and fill P packed operands at the
+// same offsets (the digit-split packer copies its HBS and LBS planes side
+// by side). KW > 0 fixes the kernel width at compile time, so the full run
+// of an interior row is a fixed-size copy; KW == 0 reads it from g.
+//
+// Everything the loops need is copied into locals first: the stores go
+// through T*, which for int8 may alias any memory, so state read through a
+// reference would be reloaded after every store.
+template <std::int64_t KW, typename T, std::size_t P>
+void copy_rows(const ConvGeometry& g, std::int64_t b, std::int64_t r0,
+               std::int64_t r1, const std::array<const T*, P>& src,
+               const std::array<T*, P>& dst) {
+  static_assert(P == 1 || P == 2, "one or two planes");
+  const std::int64_t c = g.c, h = g.h, w = g.w, ow = g.ow, hw = g.h * g.w;
+  const std::int64_t kh = g.kh, kw = KW > 0 ? KW : g.kw;
+  const std::int64_t stride = g.stride, pad = g.pad, kp = g.k_padded;
+  const std::int64_t img = b * c * hw, rows = g.rows;
+  const T* const s0 = src[0];
+  const T* const s1 = src[P - 1];
+  T* const d0 = dst[0];
+  T* const d1 = dst[P - 1];
+  std::int64_t oy = r0 / ow, ox = r0 % ow;
+  for (std::int64_t r = r0; r < r1; ++r) {
+    const std::int64_t iy0 = oy * stride - pad;
+    const std::int64_t ix0 = ox * stride - pad;
+    if (++ox == ow) {
+      ox = 0;
+      ++oy;
+    }
+    const std::int64_t ki_lo = std::max<std::int64_t>(0, -iy0);
+    const std::int64_t ki_hi = std::min(kh, h - iy0);
+    const std::int64_t kj_lo = std::max<std::int64_t>(0, -ix0);
+    const std::int64_t kj_hi = std::min(kw, w - ix0);
+    const std::int64_t run = kj_hi - kj_lo;
+    if (run <= 0) continue;  // every column of the window is padding
+    const std::int64_t src_row = img + iy0 * w + ix0 + kj_lo;
+    const std::int64_t dst_row = (b * rows + r) * kp + kj_lo;
+    for (std::int64_t ic = 0; ic < c; ++ic) {
+      for (std::int64_t ki = ki_lo; ki < ki_hi; ++ki) {
+        const std::int64_t so = src_row + ic * hw + ki * w;
+        const std::int64_t d = dst_row + (ic * kh + ki) * kw;
+        copy_run<KW>(s0 + so, d0 + d, run);
+        if constexpr (P == 2) copy_run<KW>(s1 + so, d1 + d, run);
+      }
+    }
+  }
+}
+
+// The one packer walker: fills the packed operand buffers `dst` (already
+// shaped and zeroed by init_packed) from the source planes `src`. Tiled over
+// (batch, output-row blocks): every tile writes a disjoint slice of rows,
+// so results are identical at any pool size. The kernel width picks the
+// copy loop: 3 and 1 (every conv in the ResNet and VGG families) get a
+// fixed-width run; anything else takes the generic one.
+template <typename T, std::size_t P>
+void walk_rows(const ConvGeometry& g, const std::array<const T*, P>& src,
+               const std::array<T*, P>& dst) {
+  const std::int64_t row_blocks = (g.rows + kRowTile - 1) / kRowTile;
   util::parallel_for(
       g.n * row_blocks,
       [&](std::int64_t t0, std::int64_t t1) {
         for (std::int64_t t = t0; t < t1; ++t) {
           const std::int64_t b = t / row_blocks;
           const std::int64_t r0 = (t % row_blocks) * kRowTile;
-          const std::int64_t r1 = std::min(rows, r0 + kRowTile);
-          const Src* img = src + b * g.c * g.h * g.w;
-          for (std::int64_t r = r0; r < r1; ++r) {
-            const std::int64_t oy = r / g.ow;
-            const std::int64_t ox = r % g.ow;
-            const std::int64_t iy0 = oy * stride - pad;
-            const std::int64_t ix0 = ox * stride - pad;
-            std::int64_t p = 0;
-            for (std::int64_t ic = 0; ic < g.c; ++ic) {
-              const Src* plane = img + ic * g.h * g.w;
-              for (std::int64_t ki = 0; ki < kh; ++ki) {
-                const std::int64_t iy = iy0 + ki;
-                if (iy < 0 || iy >= g.h) {
-                  p += kw;
-                  continue;
-                }
-                const Src* line = plane + iy * g.w;
-                for (std::int64_t kj = 0; kj < kw; ++kj, ++p) {
-                  const std::int64_t ix = ix0 + kj;
-                  if (ix >= 0 && ix < g.w) emit(b, r, p, line[ix]);
-                }
-              }
-            }
+          const std::int64_t r1 = std::min(g.rows, r0 + kRowTile);
+          if (g.kw == 3) {
+            copy_rows<3>(g, b, r0, r1, src, dst);
+          } else if (g.kw == 1) {
+            copy_rows<1>(g, b, r0, r1, src, dst);
+          } else {
+            copy_rows<0>(g, b, r0, r1, src, dst);
           }
         }
       },
@@ -101,11 +158,7 @@ PackedIm2col pack_im2col_i8(const TensorI8& input, std::int64_t kh,
   const ConvGeometry g = check_geometry(input.shape(), kh, kw, stride, pad);
   PackedIm2col out;
   init_packed(out, g);
-  const std::int64_t kp = out.k_padded;
-  std::int8_t* dst = out.data.data();
-  walk_rows(g, kh, kw, stride, pad, out.rows, input.data(),
-            [&](std::int64_t b, std::int64_t r, std::int64_t p,
-                std::int8_t v) { dst[(b * out.rows + r) * kp + p] = v; });
+  walk_rows<std::int8_t, 1>(g, {input.data()}, {out.data.data()});
   return out;
 }
 
@@ -117,16 +170,11 @@ PackedSplitIm2col pack_im2col_split(const TensorI8& input, int low_bits,
   out.low_bits = low_bits;
   init_packed(out.high, g);
   init_packed(out.low, g);
-  const std::int64_t kp = out.high.k_padded;
-  std::int8_t* hi = out.high.data.data();
-  std::int8_t* lo = out.low.data.data();
-  walk_rows(g, kh, kw, stride, pad, out.high.rows, input.data(),
-            [&](std::int64_t b, std::int64_t r, std::int64_t p,
-                std::int8_t v) {
-              const std::int64_t at = (b * out.high.rows + r) * kp + p;
-              hi[at] = quant::high_part(v, low_bits);
-              lo[at] = quant::low_part(v, low_bits);
-            });
+  // Split each source code once; the walker then copies runs from both
+  // digit planes instead of re-splitting a code for every window it is in.
+  const quant::SplitTensor digits = quant::split_codes(input, low_bits);
+  walk_rows<std::int8_t, 2>(g, {digits.high.data(), digits.low.data()},
+                            {out.high.data.data(), out.low.data.data()});
   return out;
 }
 
@@ -136,12 +184,7 @@ PackedIm2colF pack_im2col_f32(const Tensor& input, std::int64_t kh,
   const ConvGeometry g = check_geometry(input.shape(), kh, kw, stride, pad);
   PackedIm2colF out;
   init_packed(out, g);
-  const std::int64_t kp = out.k_padded;
-  float* dst = out.data.data();
-  walk_rows(g, kh, kw, stride, pad, out.rows, input.data(),
-            [&](std::int64_t b, std::int64_t r, std::int64_t p, float v) {
-              dst[(b * out.rows + r) * kp + p] = v;
-            });
+  walk_rows<float, 1>(g, {input.data()}, {out.data.data()});
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "nn/epilogue.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -34,6 +35,15 @@ ConvEpilogue ConvEpilogue::from_batchnorm(const Tensor& gamma,
 }
 
 namespace {
+
+// parallel_for grain in planes: 16K outputs' worth. The per-output work is
+// a few flops, so a finer grain costs more to dispatch than it saves (a
+// batch-1 conv's handful of 1K-output planes runs faster inline).
+std::int64_t plane_grain(std::int64_t plane_size) {
+  constexpr std::int64_t kMinChunkOutputs = 1 << 14;
+  return std::max<std::int64_t>(
+      1, kMinChunkOutputs / std::max<std::int64_t>(plane_size, 1));
+}
 
 void check_channels(const ConvEpilogue& e, std::int64_t oc) {
   if (e.has_bias() && e.bias.numel() != oc) {
@@ -78,7 +88,7 @@ void apply_conv_epilogue(Tensor& x, const ConvEpilogue& e) {
           }
         }
       },
-      /*grain=*/1);
+      plane_grain(ohw));
 }
 
 Tensor dequantize_epilogue(const TensorI32& acc, float scale,
@@ -121,7 +131,7 @@ Tensor dequantize_epilogue(const TensorI32& acc, float scale,
           }
         }
       },
-      /*grain=*/1);
+      plane_grain(ohw));
   return out;
 }
 

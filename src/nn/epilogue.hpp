@@ -43,7 +43,8 @@ void apply_conv_epilogue(tensor::Tensor& x, const ConvEpilogue& e);
 // y = float(acc) * scale, then the per-channel affine + activation. The
 // bias-only case reproduces the ODQ executor's fused
 // `float(acc) * scale + bias[ch]` expression exactly. Tiled over
-// (batch, channel) planes on the global pool.
+// (batch, channel) planes on the global pool with a grain of 16K outputs
+// (both helpers).
 tensor::Tensor dequantize_epilogue(const tensor::TensorI32& acc, float scale,
                                    const ConvEpilogue& e);
 

@@ -10,7 +10,10 @@ SplitTensor split_codes(const tensor::TensorI8& codes, int low_bits) {
   const std::int8_t* src = codes.data();
   std::int8_t* hi = out.high.data();
   std::int8_t* lo = out.low.data();
-  for (std::int64_t i = 0; i < codes.numel(); ++i) {
+  // The bound is hoisted: int8 stores may alias the tensor's own size
+  // field, which the compiler would otherwise reload every iteration.
+  const std::int64_t n = codes.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
     hi[i] = high_part(src[i], low_bits);
     lo[i] = low_part(src[i], low_bits);
   }

@@ -2,6 +2,7 @@
 
 #include "gemm/gemm.hpp"
 #include "gemm/packed.hpp"
+#include "simd/dispatch.hpp"
 #include "tensor/ops.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -35,10 +36,14 @@ float max_abs(const Tensor& t) {
   return m;
 }
 
+// Clamps in float before the cast: casting a float past the int32 range is
+// undefined (x86 yields INT_MIN, which an int clamp would turn into lo).
+// Rounding the clamped value gives the same code as clamping the rounded
+// one, because lo and hi are integers. NaN maps to lo.
 std::int8_t clamp_code(float v, std::int32_t lo, std::int32_t hi) {
-  const float r = std::nearbyint(v);
-  const auto c = static_cast<std::int32_t>(r);
-  return static_cast<std::int8_t>(std::clamp(c, lo, hi));
+  float c = v > static_cast<float>(lo) ? v : static_cast<float>(lo);
+  c = c < static_cast<float>(hi) ? c : static_cast<float>(hi);
+  return static_cast<std::int8_t>(std::nearbyint(c));
 }
 
 }  // namespace
@@ -92,9 +97,17 @@ QTensor quantize_activations(const Tensor& x, int bits, float clip) {
     for (std::int64_t i = 0; i < x.numel(); ++i) xmax = std::max(xmax, x[i]);
   }
   out.scale = (xmax > 0.0f ? xmax : 1.0f) / static_cast<float>(qmax);
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    out.q[i] = clamp_code(std::max(x[i], 0.0f) / out.scale, 0, qmax);
-  }
+  const simd::QuantizeActFn quantize = simd::active_kernels().quantize_act;
+  const float* src = x.data();
+  std::int8_t* dst = out.q.data();
+  const float scale = out.scale;
+  util::parallel_for(
+      x.numel(),
+      [&](std::int64_t i0, std::int64_t i1) {
+        quantize(src + i0, i1 - i0, scale, static_cast<float>(qmax),
+                 dst + i0);
+      },
+      /*grain=*/1 << 14);
   return out;
 }
 

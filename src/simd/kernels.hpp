@@ -1,12 +1,14 @@
-// Bit-exact SIMD dot-product kernels for the packed conv-GEMM core.
+// Bit-exact SIMD kernels for the packed conv-GEMM core: three integer dot
+// products and the activation quantizer.
 //
-// Every kernel here computes an *integer* sum whose value is independent of
-// accumulation order, so the scalar reference, the AVX2 backend, and the
-// NEON backend are interchangeable bit-for-bit — the `simd`-labelled
-// differential suite (tests/simd/) sweeps every lane-boundary shape across
-// all available backends and asserts exactly that.
+// Every dot kernel here computes an *integer* sum whose value is independent
+// of accumulation order, and the quantizer is elementwise and built from
+// correctly rounded IEEE operations, so the scalar reference, the AVX2
+// backend, and the NEON backend are interchangeable bit-for-bit — the
+// `simd`-labelled differential suite (tests/simd/) sweeps every lane-boundary
+// shape across all available backends and asserts exactly that.
 //
-// Contract shared by all three entry points:
+// Contract shared by the three dot entry points:
 //   * `kp` is the padded depth of a packed row (gemm/packed.hpp): a multiple
 //     of kKTile (16), so vector loops never handle a remainder and scalar
 //     unrolls never need a tail.
@@ -61,12 +63,25 @@ using DotI8SplitFn = void (*)(const std::int8_t* ah, const std::int8_t* al,
                               std::int64_t kp, std::int32_t* cross,
                               std::int32_t* low);
 
+// Unsigned activation codes for n floats:
+//   q[i] = round_half_even(min(max(x[i] / scale, 0), qmax)),  NaN -> 0.
+// Clamping in float before the round keeps every input defined (an outlier
+// far above the clip saturates at qmax instead of overflowing an int cast),
+// and rounding the clamped value gives the same code as clamping the rounded
+// one, because 0 and qmax are integers. The quotient is a true divide, never
+// a multiply by 1/scale: the reciprocal is itself rounded, so x * (1/scale)
+// can land on the other side of an exact .5 tie and move a code. qmax must
+// be an integer in [0, 127].
+using QuantizeActFn = void (*)(const float* x, std::int64_t n, float scale,
+                               float qmax, std::int8_t* q);
+
 // One backend's kernel table.
 struct Kernels {
   const char* name;
   DotI8Fn dot_i8;
   DotI8Acc64Fn dot_i8_acc64;
   DotI8SplitFn dot_i8_split;
+  QuantizeActFn quantize_act;
 };
 
 // The always-available scalar reference (kernels_scalar.cpp).

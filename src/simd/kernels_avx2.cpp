@@ -17,11 +17,19 @@
 //      the acc64 kernel, which must stay exact past int32 headroom).
 // Integer addition is associative, so the lane-parallel accumulation is
 // bit-identical to the scalar reference for every input.
+//
+// The activation quantizer runs 8 floats per step: _mm256_div_ps (the same
+// correctly rounded quotient as the scalar divide), max/min against 0 and
+// qmax (maxps returns its second operand when the first is NaN, so NaN
+// maps to 0 as in the scalar `v > 0 ? v : 0`), then _mm256_round_ps to
+// nearest-even — the scalar nearbyint under the default rounding mode.
 #include "simd/kernels.hpp"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <cstring>
 
 namespace odq::simd {
 
@@ -99,8 +107,39 @@ void dot_i8_split_avx2(const std::int8_t* ah, const std::int8_t* al,
   *low = hsum_epi32(acc_low);
 }
 
+// Eight codes from eight floats; the clamped, rounded values are integers
+// in [0, 127], so the int32 conversion and the two saturating packs are
+// exact.
+inline void quantize8(const float* x, __m256 scale, __m256 qmax,
+                      std::int8_t* q) {
+  __m256 v = _mm256_div_ps(_mm256_loadu_ps(x), scale);
+  v = _mm256_min_ps(_mm256_max_ps(v, _mm256_setzero_ps()), qmax);
+  v = _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m256i c32 = _mm256_cvtps_epi32(v);
+  const __m128i c16 = _mm_packs_epi32(_mm256_castsi256_si128(c32),
+                                      _mm256_extracti128_si256(c32, 1));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(q), _mm_packs_epi16(c16, c16));
+}
+
+void quantize_act_avx2(const float* x, std::int64_t n, float scale,
+                       float qmax, std::int8_t* q) {
+  const __m256 vs = _mm256_set1_ps(scale);
+  const __m256 vq = _mm256_set1_ps(qmax);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) quantize8(x + i, vs, vq, q + i);
+  if (i < n) {
+    // Tail through the same vector step, so it cannot drift from the body.
+    const auto rest = static_cast<std::size_t>(n - i);
+    float buf[8] = {};
+    std::int8_t codes[8];
+    std::memcpy(buf, x + i, rest * sizeof(float));
+    quantize8(buf, vs, vq, codes);
+    std::memcpy(q + i, codes, rest);
+  }
+}
+
 constexpr Kernels kAvx2Kernels = {"avx2", dot_i8_avx2, dot_i8_acc64_avx2,
-                                  dot_i8_split_avx2};
+                                  dot_i8_split_avx2, quantize_act_avx2};
 
 }  // namespace
 

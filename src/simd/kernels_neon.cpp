@@ -11,11 +11,19 @@
 //      accumulator absorbs far more depth than any layer reaches (the
 //      kMaxDotBlocks budget in kernels.hpp is the conservative bound),
 //   4. vaddvq_s32 to reduce (or vpadalq_s32 into int64x2 for acc64).
+//
+// The activation quantizer runs 4 floats per step: vdivq_f32 (correctly
+// rounded, like the scalar divide), vmaxnmq_f32 against 0 (maxNum returns
+// the number when the other operand is a quiet NaN, and a divide always
+// quiets, so NaN maps to 0 as in the scalar reference), vminq_f32 against
+// qmax, then vrndnq_f32 — round to nearest, ties to even.
 #include "simd/kernels.hpp"
 
 #if defined(__ARM_NEON) && defined(__aarch64__)
 
 #include <arm_neon.h>
+
+#include <cstring>
 
 namespace odq::simd {
 
@@ -65,8 +73,39 @@ void dot_i8_split_neon(const std::int8_t* ah, const std::int8_t* al,
   *low = vaddvq_s32(acc_low);
 }
 
+// Four codes from four floats (integers in [0, 127] after the clamp and
+// round, so the int32 conversion and both narrowings are exact), returned
+// in the low four lanes.
+inline int8x8_t quantize4(const float* x, float32x4_t scale,
+                          float32x4_t qmax) {
+  float32x4_t v = vdivq_f32(vld1q_f32(x), scale);
+  v = vminq_f32(vmaxnmq_f32(v, vdupq_n_f32(0.0f)), qmax);
+  const int16x4_t c16 = vmovn_s32(vcvtq_s32_f32(vrndnq_f32(v)));
+  return vmovn_s16(vcombine_s16(c16, c16));
+}
+
+void quantize_act_neon(const float* x, std::int64_t n, float scale,
+                       float qmax, std::int8_t* q) {
+  const float32x4_t vs = vdupq_n_f32(scale);
+  const float32x4_t vq = vdupq_n_f32(qmax);
+  std::int8_t codes[8];
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    vst1_s8(codes, quantize4(x + i, vs, vq));
+    std::memcpy(q + i, codes, 4);
+  }
+  if (i < n) {
+    // Tail through the same vector step, so it cannot drift from the body.
+    const auto rest = static_cast<std::size_t>(n - i);
+    float buf[4] = {};
+    std::memcpy(buf, x + i, rest * sizeof(float));
+    vst1_s8(codes, quantize4(buf, vs, vq));
+    std::memcpy(q + i, codes, rest);
+  }
+}
+
 constexpr Kernels kNeonKernels = {"neon", dot_i8_neon, dot_i8_acc64_neon,
-                                  dot_i8_split_neon};
+                                  dot_i8_split_neon, quantize_act_neon};
 
 }  // namespace
 

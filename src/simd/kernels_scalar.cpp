@@ -4,6 +4,8 @@
 // The 4-wide unroll mirrors the original gemm_conv_int inner loop (kp is a
 // multiple of kKTile = 16, so there is never a tail); integer sums
 // reassociate freely, so the unroll order is irrelevant to the result.
+#include <cmath>
+
 #include "simd/kernels.hpp"
 
 namespace odq::simd {
@@ -49,8 +51,19 @@ void dot_i8_split_scalar(const std::int8_t* ah, const std::int8_t* al,
   *low = l;
 }
 
+void quantize_act_scalar(const float* x, std::int64_t n, float scale,
+                         float qmax, std::int8_t* q) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    float v = x[i] / scale;
+    v = v > 0.0f ? v : 0.0f;  // also maps NaN to 0
+    v = v < qmax ? v : qmax;
+    q[i] = static_cast<std::int8_t>(std::nearbyint(v));
+  }
+}
+
 constexpr Kernels kScalarKernels = {"scalar", dot_i8_scalar,
-                                    dot_i8_acc64_scalar, dot_i8_split_scalar};
+                                    dot_i8_acc64_scalar, dot_i8_split_scalar,
+                                    quantize_act_scalar};
 
 }  // namespace
 

@@ -114,6 +114,18 @@ TEST(QuantizeActivations, ClipOverridesCalibration) {
   EXPECT_EQ(q.q[1], 15);  // clipped to max code
 }
 
+// A percentile clip far below an outlier: 200 / (1e-6 / 15) = 3e9 is past
+// the int32 range, which once turned the outlier's code into 0 through an
+// overflowing cast. It must saturate at qmax like any value above the clip.
+TEST(QuantizeActivations, SaturatesFarAboveClip) {
+  Tensor x(Shape{4}, std::vector<float>{0.0f, 1e-6f, 200.0f, 1.0f});
+  const QTensor q = quantize_activations(x, 4, /*clip=*/1e-6f);
+  EXPECT_EQ(q.q[0], 0);
+  EXPECT_EQ(q.q[1], 15);
+  EXPECT_EQ(q.q[2], 15);
+  EXPECT_EQ(q.q[3], 15);
+}
+
 TEST(QuantizeSigned, SymmetricRange) {
   Tensor x(Shape{3}, std::vector<float>{-2.0f, 0.0f, 2.0f});
   QTensor q = quantize_signed(x, 4);

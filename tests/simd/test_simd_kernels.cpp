@@ -13,10 +13,16 @@
 //   * tile straddles — out-channel counts around kOcTile and row counts
 //     around kRowTile through the full gemm_conv_int tiling,
 //   * zero-length and full-length compacted sensitive lists through
-//     sparse_result_generation.
+//     sparse_result_generation,
+//   * for the activation quantizer, exact .5 ties, saturation and every
+//     vector tail length (see the quantize tests below).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/odq.hpp"
@@ -298,6 +304,132 @@ TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
     ASSERT_EQ(ref.stats.predictor_macs, got.stats.predictor_macs);
     ASSERT_EQ(ref.stats.executor_macs, got.stats.executor_macs);
   }
+}
+
+// The activation quantize kernel (Kernels::quantize_act) against an oracle
+// that rounds half to even by hand rather than through nearbyint. Inputs
+// target where a vector quantizer goes wrong: exact .5 ties and both float
+// neighbours of each tie (a reciprocal multiply or a round-half-away would
+// move these), values above qmax * scale up to +inf, 0, -0.0, denormals,
+// negatives and NaN, at every length 0..33 so each backend's vector tail
+// runs with every remainder.
+//
+// The kernel clamps in float before it rounds. Against the formula it
+// replaced, clamp(int32(nearbyint(max(x, 0) / scale)), 0, qmax), that
+// changes codes on exactly one input class: quotients at or beyond the
+// int32 range (and NaN or inf), where the old cast was undefined — on x86 it
+// gave INT_MIN, so an outlier far above the clip coded as 0 instead of qmax.
+// The second quantize test pins that every other input keeps its old code.
+
+std::int8_t oracle_quantize(float x, float scale, int qmax) {
+  const float v = x / scale;
+  if (!(v > 0.0f)) return 0;  // negatives, zeros, NaN
+  if (v >= static_cast<float>(qmax)) return static_cast<std::int8_t>(qmax);
+  const float whole = std::floor(v);
+  const float frac = v - whole;  // exact: v < 128
+  int q = static_cast<int>(whole);
+  if (frac > 0.5f || (frac == 0.5f && q % 2 != 0)) ++q;
+  return static_cast<std::int8_t>(q);
+}
+
+struct QuantCase {
+  float scale;
+  int qmax;
+  std::vector<float> x;
+};
+
+// Ties and their neighbours for every code, the saturating and degenerate
+// inputs, then a few plain values so short prefixes mix classes.
+QuantCase make_case(float scale, int bits) {
+  QuantCase c{scale, (1 << bits) - 1, {}};
+  const float qmax_f = static_cast<float>(c.qmax);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int k = 0; k <= c.qmax; ++k) {
+    const float tie = (static_cast<float>(k) + 0.5f) * scale;
+    c.x.push_back(tie);
+    c.x.push_back(std::nextafter(tie, 0.0f));
+    c.x.push_back(std::nextafter(tie, inf));
+  }
+  for (const float v :
+       {qmax_f * scale, std::nextafter(qmax_f * scale, inf),
+        2.0f * qmax_f * scale, 1e6f * scale, 3e9f * scale,
+        std::numeric_limits<float>::max(), inf, 0.0f, -0.0f,
+        std::numeric_limits<float>::denorm_min(), 1e-40f, -1e-40f,
+        std::numeric_limits<float>::min(), -scale, -inf,
+        std::numeric_limits<float>::quiet_NaN(), 0.3f * scale,
+        1.7f * scale}) {
+    c.x.push_back(v);
+  }
+  return c;
+}
+
+std::vector<QuantCase> all_cases() {
+  std::vector<QuantCase> cases;
+  // Power-of-two scales make x / scale exact, so the ties are true ties;
+  // the others are scales a calibrated clip actually produces.
+  for (const float scale : {0.25f, 1.0f / 64.0f, 2.0f, 0.1f, 1.0f / 15.0f,
+                            0.0731f, 1e-6f / 15.0f}) {
+    for (int bits = 2; bits <= 7; ++bits) {
+      cases.push_back(make_case(scale, bits));
+    }
+  }
+  return cases;
+}
+
+TEST_P(SimdKernels, QuantizeActMatchesOracleOnTiesSaturationAndEveryTail) {
+  const QuantizeActFn quantize = active_kernels().quantize_act;
+  constexpr std::int8_t kGuard = 0x55;
+  for (const QuantCase& c : all_cases()) {
+    // Every length 0..33, read cyclically from several offsets, so each
+    // input class lands in the vector body and in the tail at every
+    // remainder.
+    for (std::size_t start = 0; start < c.x.size(); start += 13) {
+      for (std::size_t n = 0; n <= 33; ++n) {
+        std::vector<float> x(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          x[i] = c.x[(start + i) % c.x.size()];
+        }
+        std::vector<std::int8_t> q(n + 8, kGuard);
+        quantize(x.data(), static_cast<std::int64_t>(n), c.scale,
+                 static_cast<float>(c.qmax), q.data());
+        SCOPED_TRACE("scale=" + std::to_string(c.scale) +
+                     " qmax=" + std::to_string(c.qmax) +
+                     " start=" + std::to_string(start) +
+                     " n=" + std::to_string(n));
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(q[i], oracle_quantize(x[i], c.scale, c.qmax))
+              << "x=" << x[i];
+        }
+        for (std::size_t i = n; i < q.size(); ++i) {
+          ASSERT_EQ(q[i], kGuard) << "wrote past n at " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SimdKernels, QuantizeActChangesCodesOnlyWhereTheOldCastOverflowed) {
+  const QuantizeActFn quantize = active_kernels().quantize_act;
+  std::int64_t undefined_before = 0;
+  for (const QuantCase& c : all_cases()) {
+    std::vector<std::int8_t> q(c.x.size());
+    quantize(c.x.data(), static_cast<std::int64_t>(c.x.size()), c.scale,
+             static_cast<float>(c.qmax), q.data());
+    for (std::size_t i = 0; i < c.x.size(); ++i) {
+      const float r = std::nearbyint(std::max(c.x[i], 0.0f) / c.scale);
+      if (!(std::abs(r) < 2147483648.0f)) {
+        // Outside the int32 range (or NaN): the old cast was undefined.
+        // The new code saturates (NaN codes 0).
+        ++undefined_before;
+        ASSERT_EQ(q[i], std::isnan(c.x[i]) ? 0 : c.qmax) << "x=" << c.x[i];
+        continue;
+      }
+      const std::int32_t old =
+          std::clamp(static_cast<std::int32_t>(r), 0, c.qmax);
+      ASSERT_EQ(q[i], old) << "x=" << c.x[i] << " scale=" << c.scale;
+    }
+  }
+  EXPECT_GT(undefined_before, 0) << "the sweep lost its overflow cases";
 }
 
 // --- Dispatch rules (backend-independent) ----------------------------------
