@@ -238,13 +238,12 @@ SimResult simulate(const AcceleratorConfig& cfg,
     static obs::Counter& runs = obs::counter("sim.runs");
     static obs::Counter& layers = obs::counter("sim.layers");
     static obs::Counter& cycles = obs::counter("sim.cycles");
-    static obs::Distribution& idle =
-        obs::distribution("sim.layer_idle_fraction", 0.0, 1.0, 50);
+    static obs::Series& idle = obs::series("sim.layer_idle_fraction");
     runs.increment();
     layers.add(static_cast<std::int64_t>(res.layers.size()));
     cycles.add(static_cast<std::int64_t>(res.total_cycles));
     for (const LayerSimResult& lr : res.layers) {
-      idle.record(lr.idle_pe_fraction);
+      idle.record(obs::basis_points(lr.idle_pe_fraction));
     }
   }
   return res;

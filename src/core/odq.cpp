@@ -57,14 +57,13 @@ void record_conv_metrics(const OdqLayerStats& s) {
   static obs::Counter& sensitive = obs::counter("odq.conv.sensitive");
   static obs::Counter& pred_macs = obs::counter("odq.conv.predictor_macs");
   static obs::Counter& exec_macs = obs::counter("odq.conv.executor_macs");
-  static obs::Distribution& frac =
-      obs::distribution("odq.conv.sensitive_fraction", 0.0, 1.0, 50);
+  static obs::Series& frac = obs::series("odq.conv.sensitive_fraction");
   calls.increment();
   outputs.add(s.outputs);
   sensitive.add(s.sensitive);
   pred_macs.add(s.predictor_macs);
   exec_macs.add(s.executor_macs);
-  frac.record(s.sensitive_fraction());
+  frac.record(obs::basis_points(s.sensitive_fraction()));
 }
 
 // Dequantize integer accumulators and add the per-channel bias through the

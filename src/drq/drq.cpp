@@ -163,10 +163,10 @@ Tensor DrqConvExecutor::run(const Tensor& input, const Tensor& weight,
   }
   if (obs::metrics_enabled()) {
     static obs::Counter& calls = obs::counter("drq.conv.calls");
-    static obs::Distribution& frac =
-        obs::distribution("drq.conv.sensitive_input_fraction", 0.0, 1.0, 50);
+    static obs::Series& frac =
+        obs::series("drq.conv.sensitive_input_fraction");
     calls.increment();
-    frac.record(sens);
+    frac.record(obs::basis_points(sens));
   }
   Tensor out = drq_conv(input, weight, bias, stride, pad, cfg, &mask);
   if (obs::fidelity_enabled()) {

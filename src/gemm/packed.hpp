@@ -7,7 +7,7 @@
 // hold both operands in one cache-blocked layout shared by all of them:
 //
 //   * Rows are *output pixels* (receptive fields), stored contiguously —
-//     the transpose of the [CKK, OHW] matrix quant::im2col_i8 produces.
+//     the transpose of the [CKK, OHW] matrix tensor::im2col produces.
 //     A GEMM dot product then reads two contiguous byte runs, and the
 //     mask-aware sparse epilogue can gather an arbitrary subset of output
 //     pixels with perfect locality (one contiguous row per sensitive
@@ -137,7 +137,7 @@ PackedWeightsF pack_weights_f32(const tensor::Tensor& weight);
 
 // --- Unpackers (round-trip validation) -----------------------------------
 
-// Recover the [N, C*KH*KW, OH*OW] matrix quant::im2col_i8 would produce
+// Recover the [N, C*KH*KW, OH*OW] matrix in tensor::im2col's layout
 // (transposes the packed rows back, drops the depth padding).
 tensor::TensorI8 unpack_im2col_i8(const PackedIm2col& packed, std::int64_t c,
                                   std::int64_t kh, std::int64_t kw);

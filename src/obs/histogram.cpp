@@ -119,40 +119,30 @@ void LogHistogram::add_in_bucket(std::size_t index, std::uint64_t n) {
 
 namespace {
 
-// Thread-local shard cache, same idiom as the metrics registry: one map for
-// every ShardedLogHistogram instance; entries die with the thread, the
-// shards they point to are owned by the histogram and keep their counts.
-// Entries carry the owner's generation id: a histogram constructed at a
-// recycled address (short-lived instances in tests/tools) fails the check
-// and gets a fresh shard instead of a dangling pointer.
 struct ShardRef {
   std::uint64_t gen = 0;
   void* shard = nullptr;
 };
-thread_local std::unordered_map<const void*, ShardRef> t_hist_shards;
+thread_local std::unordered_map<const void*, ShardRef> t_shards;
 
-std::uint64_t next_hist_generation() {
+}  // namespace
+
+void*& thread_shard_slot(const void* owner, std::uint64_t gen) {
+  ShardRef& r = t_shards[owner];
+  if (r.gen != gen) {
+    r.gen = gen;
+    r.shard = nullptr;
+  }
+  return r.shard;
+}
+
+std::uint64_t next_shard_generation() {
   static std::atomic<std::uint64_t> gen{0};
   return gen.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-}  // namespace
-
-ShardedLogHistogram::ShardedLogHistogram() : gen_(next_hist_generation()) {}
-
-ShardedLogHistogram::Shard& ShardedLogHistogram::shard() {
-  ShardRef& r = t_hist_shards[this];
-  if (r.shard == nullptr || r.gen != gen_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shards_.push_back(std::make_unique<Shard>());
-    r.gen = gen_;
-    r.shard = shards_.back().get();
-  }
-  return *static_cast<Shard*>(r.shard);
-}
-
 void ShardedLogHistogram::record(std::uint64_t v) {
-  Shard& s = shard();
+  Shard& s = shards_.local();
   s.counts[log_bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   s.sum.fetch_add(v, std::memory_order_relaxed);
 }
@@ -163,25 +153,21 @@ LogHistogram ShardedLogHistogram::merged() const {
   // buckets (or vice versa) for one snapshot — telemetry-grade, not a
   // linearizable cut. Once writers quiesce, merged() is exact.
   LogHistogram out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& s : shards_) {
+  shards_.for_each([&out](const Shard& s) {
     for (std::size_t i = 0; i < kLogHistBuckets; ++i) {
-      const std::uint64_t c = s->counts[i].load(std::memory_order_relaxed);
+      const std::uint64_t c = s.counts[i].load(std::memory_order_relaxed);
       if (c > 0) out.add_in_bucket(i, c);
     }
-    out.add_to_sum(s->sum.load(std::memory_order_relaxed));
-  }
+    out.add_to_sum(s.sum.load(std::memory_order_relaxed));
+  });
   return out;
 }
 
 void ShardedLogHistogram::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& s : shards_) {
-    for (std::size_t i = 0; i < kLogHistBuckets; ++i) {
-      s->counts[i].store(0, std::memory_order_relaxed);
-    }
-    s->sum.store(0, std::memory_order_relaxed);
-  }
+  shards_.for_each([](Shard& s) {
+    for (auto& c : s.counts) c.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
+  });
 }
 
 }  // namespace odq::obs

@@ -1,4 +1,5 @@
-// Log-bucketed HDR-style histograms for live serving telemetry.
+// Log-bucketed HDR-style histograms behind the metrics registry's series
+// (obs/metrics.hpp).
 //
 // One fixed bucket layout shared by every histogram in the process (so any
 // two histograms merge bucket-for-bucket, and a serialized histogram is
@@ -28,7 +29,10 @@
 //   * ShardedLogHistogram — lock-free recorder: each thread owns a shard
 //     and record() is two relaxed atomic RMWs on it; merged() folds every
 //     shard into one LogHistogram. No mutex is ever taken on the record
-//     path (the registry mutex guards only first-touch shard creation).
+//     path (a per-recorder mutex guards only first-touch shard creation).
+//
+// PerThreadShards is the shard cache behind every lock-free recorder in
+// src/obs: ShardedLogHistogram here and obs::Counter (obs/metrics.hpp).
 #pragma once
 
 #include <atomic>
@@ -40,8 +44,8 @@
 
 namespace odq::obs {
 
-// Bucket layout constants. Changing these is a telemetry schema change:
-// bump the snapshot schema_version and refresh the serve bench baseline.
+// Bucket layout constants. Changing these is a snapshot schema change:
+// bump kMetricsSchemaVersion and refresh the serve bench baseline.
 inline constexpr int kLogHistSubBits = 5;   // 32 sub-buckets per octave
 inline constexpr int kLogHistMaxPow = 40;   // clamp at 2^40
 inline constexpr std::size_t kLogHistBuckets =
@@ -101,15 +105,54 @@ class LogHistogram {
   std::uint64_t sum_ = 0;
 };
 
-// Lock-free sharded recorder. Handles are long-lived (the telemetry
-// registry never deletes series); a shard belongs to one recording thread
-// and is only ever *read* by merged().
+// This thread's cache slot for the recorder at `owner` whose process-unique
+// generation is `gen`. Null on first touch, and also when `owner` is a
+// recycled address whose previous recorder had another generation.
+void*& thread_shard_slot(const void* owner, std::uint64_t gen);
+std::uint64_t next_shard_generation();
+
+// Per-thread shards of one recorder. local() is this thread's shard,
+// created on first touch; after that it costs one thread-local hash lookup
+// and no lock. One thread-local cache keyed by owner address serves every
+// instance. Its entries carry the owner's generation, so an instance built
+// at a recycled address (short-lived instances in tests and tools) gets a
+// fresh shard, never its destroyed predecessor's dangling one. Entries die
+// with their thread; the shards stay owned here and keep their values.
+template <class Shard>
+class PerThreadShards {
+ public:
+  PerThreadShards() : gen_(next_shard_generation()) {}
+  PerThreadShards(const PerThreadShards&) = delete;
+  PerThreadShards& operator=(const PerThreadShards&) = delete;
+
+  Shard& local() {
+    void*& slot = thread_shard_slot(this, gen_);
+    if (slot == nullptr) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      shards_.push_back(std::make_unique<Shard>());
+      slot = shards_.back().get();
+    }
+    return *static_cast<Shard*>(slot);
+  }
+
+  // f(Shard&) for every shard, under the growth lock (never contended by
+  // recorders past their first touch).
+  template <class F>
+  void for_each(F&& f) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& s : shards_) f(*s);
+  }
+
+ private:
+  const std::uint64_t gen_;
+  mutable std::mutex mutex_;  // guards shards_ growth only
+  std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+// Lock-free sharded histogram recorder; a shard belongs to one recording
+// thread and is only ever *read* by merged().
 class ShardedLogHistogram {
  public:
-  ShardedLogHistogram();
-  ShardedLogHistogram(const ShardedLogHistogram&) = delete;
-  ShardedLogHistogram& operator=(const ShardedLogHistogram&) = delete;
-
   // Wait-free on the calling thread's own shard (after first touch).
   void record(std::uint64_t v);
 
@@ -127,16 +170,7 @@ class ShardedLogHistogram {
         std::vector<std::atomic<std::uint64_t>>(kLogHistBuckets);
     std::atomic<std::uint64_t> sum{0};
   };
-  Shard& shard();
-
-  // Process-unique instance id. The per-thread shard cache is keyed by
-  // address but validated against this, so a histogram constructed at a
-  // recycled address can never inherit a stale (dangling) shard pointer
-  // from a destroyed predecessor.
-  const std::uint64_t gen_;
-
-  mutable std::mutex mutex_;  // guards shards_ growth only
-  std::vector<std::unique_ptr<Shard>> shards_;
+  PerThreadShards<Shard> shards_;
 };
 
 }  // namespace odq::obs

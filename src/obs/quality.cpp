@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/json_read.hpp"
 #include "util/logging.hpp"
@@ -17,13 +17,8 @@ using util::StatusOr;
 
 namespace {
 
-// Scale factors between the double-valued statistics and the integer
-// telemetry series (WindowedSeries records uint64).
-std::uint64_t fraction_bp(double f) {
-  return static_cast<std::uint64_t>(
-      std::llround(std::clamp(f, 0.0, 1.0) * 10000.0));
-}
-
+// SQNR in the integer units a Series records (fractions use
+// obs::basis_points).
 std::uint64_t sqnr_cdb(double db) {
   return static_cast<std::uint64_t>(
       std::llround(std::clamp(db, 0.0, 300.0) * 100.0));
@@ -203,6 +198,14 @@ StatusOr<QualityBaseline> QualityBaseline::load(const std::string& path) {
   return base;
 }
 
+QualityMonitor::LayerState::LayerState(int layer)
+    : sensitive_series(series("quality.sensitive_fraction.layer" +
+                              std::to_string(layer))),
+      sqnr_series(series("quality.sqnr_db.layer" + std::to_string(layer))),
+      drift_series(
+          series("quality.drift_distance.layer" + std::to_string(layer))),
+      drift_counter(counter("quality.drift.layer" + std::to_string(layer))) {}
+
 QualityMonitor::QualityMonitor(QualityConfig cfg)
     : cfg_(cfg), flight_(cfg.flight_capacity) {
   if (cfg_.drift_window <= 0) cfg_.drift_window = 1;
@@ -246,8 +249,7 @@ void QualityMonitor::check_window(
       st.window.hist_lo, st.window.hist_hi, normalized_hist(st.window),
       base->hist_lo, base->hist_hi, base->hist);
   st.window_distance = distance;
-  telemetry_series("quality.drift_distance.layer" + std::to_string(layer))
-      .record(fraction_bp(distance));
+  st.drift_series.record(basis_points(distance));
 
   const bool hist_over = distance > cfg_.hist_drift_threshold;
   const bool sens_over = sens_delta > cfg_.sens_drift_threshold;
@@ -255,9 +257,9 @@ void QualityMonitor::check_window(
     st.armed = false;
     ++st.alerts;
     ++total_alerts_;
-    telemetry_counter("quality.drift").increment();
-    telemetry_counter("quality.drift.layer" + std::to_string(layer))
-        .increment();
+    static Counter& drift = counter("quality.drift");
+    drift.increment();
+    st.drift_counter.increment();
     const char* reason = hist_over && sens_over ? "hist_drift|sens_drift"
                          : hist_over            ? "hist_drift"
                                                 : "sens_drift";
@@ -289,16 +291,13 @@ void QualityMonitor::observe(std::uint64_t request_id,
   ++observed_;
   for (const FidelityLayerSnapshot& s : layers) {
     if (s.total.count == 0) continue;
-    LayerState& st = layers_[s.layer];
+    LayerState& st = layers_.try_emplace(s.layer, s.layer).first->second;
     st.cumulative.merge(s);
     st.window.merge(s);
     ++st.requests;
     ++st.window_requests;
-    const std::string suffix = ".layer" + std::to_string(s.layer);
-    telemetry_series("quality.sensitive_fraction" + suffix)
-        .record(fraction_bp(s.sensitive_fraction()));
-    telemetry_series("quality.sqnr_db" + suffix)
-        .record(sqnr_cdb(s.total.sqnr_db()));
+    st.sensitive_series.record(basis_points(s.sensitive_fraction()));
+    st.sqnr_series.record(sqnr_cdb(s.total.sqnr_db()));
     if (st.window_requests >= cfg_.drift_window) {
       check_window(st, s.layer, request_id, input, layers);
       st.window = FidelityLayerSnapshot{};

@@ -7,10 +7,10 @@
 //   * folds the per-request cells into cumulative and tumbling-window
 //     accumulators via FidelityLayerSnapshot::merge (no quadratic
 //     re-snapshotting);
-//   * feeds per-layer windowed telemetry series — quality.sensitive_fraction
+//   * feeds per-layer metric series — quality.sensitive_fraction
 //     .layer<k> (basis points, 0..10000), quality.sqnr_db.layer<k>
 //     (centi-dB, clamped to [0, 30000]) and quality.drift_distance.layer<k>
-//     (basis points) — which the TelemetryExporter ships to the JSON/
+//     (basis points) — which the MetricsExporter ships to the JSON/
 //     Prometheus snapshots rendered by odq_top;
 //   * every completed window of `drift_window` sampled requests, compares
 //     the window's predictor-magnitude histogram (total-variation distance)
@@ -46,6 +46,9 @@ class JsonWriter;
 }  // namespace odq::util
 
 namespace odq::obs {
+
+class Counter;
+class Series;
 
 // Baseline JSON document tag / version (odq_fidelity --emit-baseline).
 inline constexpr const char* kQualityBaselineDoc = "odq_quality_baseline";
@@ -117,7 +120,7 @@ class QualityMonitor {
   QualityMonitor& operator=(const QualityMonitor&) = delete;
 
   // Install the drift baseline. Without one, observe() still accumulates
-  // and feeds telemetry but never raises drift alerts.
+  // and feeds its metric series but never raises drift alerts.
   void set_baseline(QualityBaseline baseline);
   bool has_baseline() const;
 
@@ -158,6 +161,14 @@ class QualityMonitor {
 
  private:
   struct LayerState {
+    // Resolves the layer's metric handles once, when the layer is first
+    // seen (a registry lookup takes its mutex).
+    explicit LayerState(int layer);
+
+    Series& sensitive_series;  // quality.sensitive_fraction.layer<k>
+    Series& sqnr_series;       // quality.sqnr_db.layer<k>
+    Series& drift_series;      // quality.drift_distance.layer<k>
+    Counter& drift_counter;    // quality.drift.layer<k>
     FidelityLayerSnapshot cumulative;
     FidelityLayerSnapshot window;
     std::int64_t window_requests = 0;

@@ -1,7 +1,5 @@
 #include "quant/quantizer.hpp"
 
-#include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/ops.hpp"
 #include "util/stats.hpp"
@@ -340,66 +338,6 @@ void conv2d_i8_accum(const TensorI8& input, const TensorI8& weight,
         }
       },
       /*grain=*/1);
-}
-
-TensorI8 im2col_i8(const TensorI8& input, std::int64_t kh, std::int64_t kw,
-                   std::int64_t stride, std::int64_t pad) {
-  const Shape& s = input.shape();
-  if (s.rank() != 4) {
-    throw std::invalid_argument("im2col_i8: input must be NCHW");
-  }
-  const std::int64_t n = s[0], c = s[1], h = s[2], w = s[3];
-  const std::int64_t oh = tensor::conv_out_dim(h, kh, stride, pad);
-  const std::int64_t ow = tensor::conv_out_dim(w, kw, stride, pad);
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument("im2col_i8: kernel larger than padded input");
-  }
-  TensorI8 cols(Shape{n, c * kh * kw, oh * ow});
-  const std::int64_t col_stride = oh * ow;
-  // One tile per (batch, input-channel) plane; tiles write disjoint rows.
-  util::parallel_for(
-      n * c,
-      [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          const std::int64_t b = t / c;
-          const std::int64_t ch = t % c;
-          const std::int8_t* img = input.data() + (b * c + ch) * h * w;
-          std::int8_t* dst = cols.data() + b * c * kh * kw * col_stride;
-          for (std::int64_t ki = 0; ki < kh; ++ki) {
-            for (std::int64_t kj = 0; kj < kw; ++kj) {
-              std::int8_t* row = dst + ((ch * kh + ki) * kw + kj) * col_stride;
-              std::int64_t idx = 0;
-              for (std::int64_t oy = 0; oy < oh; ++oy) {
-                const std::int64_t iy = oy * stride - pad + ki;
-                for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
-                  const std::int64_t ix = ox * stride - pad + kj;
-                  row[idx] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                                 ? img[iy * w + ix]
-                                 : static_cast<std::int8_t>(0);
-                }
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/2);
-  return cols;
-}
-
-TensorI32 conv2d_i8_fast(const TensorI8& input, const TensorI8& weight,
-                         std::int64_t stride, std::int64_t pad) {
-  const Shape& is = input.shape();
-  const Shape& ws = weight.shape();
-  if (is.rank() != 4 || ws.rank() != 4 || is[1] != ws[1]) {
-    throw std::invalid_argument("conv2d_i8_fast: bad shapes");
-  }
-  // Pack into the shared cache-blocked layout, then run the tiled INT-GEMM
-  // microkernel. Integer accumulation is order-independent, so the result
-  // stays bit-identical to conv2d_i8 at any tiling and pool size.
-  gemm::PackedIm2col cols =
-      gemm::pack_im2col_i8(input, ws[2], ws[3], stride, pad);
-  gemm::PackedWeights wts = gemm::pack_weights_i8(weight);
-  return gemm::gemm_conv_i8(cols, wts, /*shift=*/0);
 }
 
 }  // namespace odq::quant

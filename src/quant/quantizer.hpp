@@ -89,18 +89,4 @@ void conv2d_i8_accum(const tensor::TensorI8& input,
                      const tensor::TensorI8& weight, std::int64_t stride,
                      std::int64_t pad, int shift, tensor::TensorI32& out);
 
-// Cache-friendly integer convolution: im2col into an int8 column matrix,
-// then an integer GEMM tiled over (batch, out-channel) planes on the global
-// thread pool. Bit-identical to conv2d_i8 at any pool size (integer math,
-// disjoint output planes; tested), ~2-4x faster on larger layers; the ODQ
-// predictor uses it.
-tensor::TensorI32 conv2d_i8_fast(const tensor::TensorI8& input,
-                                 const tensor::TensorI8& weight,
-                                 std::int64_t stride, std::int64_t pad);
-
-// im2col over int8 codes (zero padding). Output shape [N, C*KH*KW, OH*OW].
-tensor::TensorI8 im2col_i8(const tensor::TensorI8& input, std::int64_t kh,
-                           std::int64_t kw, std::int64_t stride,
-                           std::int64_t pad);
-
 }  // namespace odq::quant

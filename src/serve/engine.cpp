@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "serve/shadow.hpp"
 #include "util/fault.hpp"
@@ -21,37 +20,19 @@ using util::StatusOr;
 
 namespace {
 
-struct ServeMetrics {
-  obs::Gauge& in_flight = obs::gauge("serve.in_flight");
+// Handles resolved once: a registry lookup takes its mutex, and a record
+// with the switch off must cost one relaxed load.
+struct ServeTelemetry {
+  obs::Series& latency_us = obs::series("serve.latency_us");
+  obs::Series& batch_size = obs::series("serve.batch_size");
+  obs::Series& in_flight = obs::series("serve.in_flight");
   obs::Counter& requests = obs::counter("serve.requests");
   obs::Counter& errors = obs::counter("serve.errors");
   obs::Counter& batches = obs::counter("serve.batches");
-  obs::Distribution& batch_size =
-      obs::distribution("serve.batch_size", 0.0, 64.0, 64);
-  obs::Distribution& latency_us =
-      obs::distribution("serve.latency_us", 0.0, 1e6, 64);
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m;
-  return m;
-}
-
-// Windowed live telemetry (obs/telemetry.hpp); separate from ServeMetrics
-// so ODQ_METRICS and ODQ_TELEMETRY stay independently switchable.
-struct ServeTelemetry {
-  obs::WindowedSeries& latency_us = obs::telemetry_series("serve.latency_us");
-  obs::WindowedSeries& batch_size = obs::telemetry_series("serve.batch_size");
-  obs::WindowedSeries& in_flight = obs::telemetry_series("serve.in_flight");
-  obs::WindowedCounter& requests = obs::telemetry_counter("serve.requests");
-  obs::WindowedCounter& errors = obs::telemetry_counter("serve.errors");
-  obs::WindowedCounter& batches = obs::telemetry_counter("serve.batches");
-  obs::WindowedCounter& rejected = obs::telemetry_counter("serve.rejected");
-  obs::WindowedCounter& slo_violations =
-      obs::telemetry_counter("serve.slo_violations");
-  obs::WindowedCounter& deadline_exceeded =
-      obs::telemetry_counter("serve.deadline_exceeded");
-  obs::WindowedCounter& degraded = obs::telemetry_counter("serve.degraded");
+  obs::Counter& rejected = obs::counter("serve.rejected");
+  obs::Counter& slo_violations = obs::counter("serve.slo_violations");
+  obs::Counter& deadline_exceeded = obs::counter("serve.deadline_exceeded");
+  obs::Counter& degraded = obs::counter("serve.degraded");
 };
 
 ServeTelemetry& serve_telemetry() {
@@ -140,14 +121,15 @@ util::Status ServeEngine::submit_with_promise(
   auto reject = [&](const Status& s) -> Status {
     serve_telemetry().rejected.increment();
     // Per-tenant attribution so admission-control decisions show up as
-    // serve.rejected.<tenant> in odq_top, not just one global number.
-    if (!opts.tenant.empty()) {
-      obs::telemetry_counter("serve.rejected." + opts.tenant).increment();
+    // serve.rejected.<tenant> in odq_top, not just one global number. The
+    // tenant is free-form, so its handle is looked up (registry mutex) only
+    // with the switch on.
+    if (!opts.tenant.empty() && obs::metrics_enabled()) {
+      obs::counter("serve.rejected." + opts.tenant).increment();
     }
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.rejected;
-      if (!opts.tenant.empty()) ++stats_.rejected_by_tenant[opts.tenant];
     }
     InferResponse res;
     res.status = s;
@@ -172,8 +154,6 @@ util::Status ServeEngine::submit_with_promise(
                            : queue_.try_push(std::move(req));
   if (!pushed.ok()) return reject(pushed);
 
-  serve_metrics().in_flight.add(1.0);
-  serve_metrics().requests.increment();
   serve_telemetry().requests.increment();
   serve_telemetry().in_flight.record(static_cast<std::uint64_t>(
       in_flight_.fetch_add(1, std::memory_order_relaxed) + 1));
@@ -188,8 +168,8 @@ void ServeEngine::worker_loop(int worker_id) {
   InferenceSession& session = *sessions_[static_cast<std::size_t>(worker_id)];
   // Per-scheme latency split, resolved once per worker (registry lookup
   // takes a lock; the handle is process-lifetime).
-  obs::WindowedSeries& scheme_latency =
-      obs::telemetry_series("serve.latency_us." + session.scheme());
+  obs::Series& scheme_latency =
+      obs::series("serve.latency_us." + session.scheme());
   std::vector<PendingRequest> batch;
   while (queue_.pop_batch(batch, cfg_.max_batch, cfg_.flush_timeout_us)) {
     const std::uint64_t batch_id =
@@ -197,8 +177,6 @@ void ServeEngine::worker_loop(int worker_id) {
     obs::TraceSpan batch_span("serve.batch");
     batch_span.arg("batch_size", static_cast<std::int64_t>(batch.size()));
     batch_span.arg("batch_id", static_cast<std::int64_t>(batch_id));
-    serve_metrics().batches.increment();
-    serve_metrics().batch_size.record(static_cast<double>(batch.size()));
     serve_telemetry().batches.increment();
     serve_telemetry().batch_size.record(batch.size());
     {
@@ -269,9 +247,6 @@ void ServeEngine::worker_loop(int worker_id) {
         cfg_.shadow->offer(req.tag, req.input);
       }
 
-      serve_metrics().in_flight.add(-1.0);
-      serve_metrics().latency_us.record(res.latency_us());
-      if (!res.status.ok()) serve_metrics().errors.increment();
       serve_telemetry().in_flight.record(static_cast<std::uint64_t>(std::max(
           in_flight_.fetch_sub(1, std::memory_order_relaxed) - 1,
           std::int64_t{0})));

@@ -20,31 +20,21 @@
 // accepted, then exit. The destructor calls shutdown(), so no accepted
 // request is ever dropped with an unfulfilled promise.
 //
-// Observability (all off unless ODQ_METRICS / ODQ_TRACE are enabled):
-//   serve.queue_depth        gauge     queue occupancy after each push/pop
-//                                      (snapshot max carries the peak since
-//                                      the previous snapshot)
-//   serve.in_flight          gauge     accepted but unanswered requests
-//   serve.requests           counter   requests accepted
-//   serve.errors             counter   responses with !status.ok()
-//   serve.batches            counter   batches executed
-//   serve.batch_size         distribution  requests per batch
-//   serve.latency_us         distribution  enqueue -> response latency
-//   serve.batch / serve.request   trace spans (batch execution, per-request
-//                                 enqueue->complete latency)
-//
-// Live telemetry (off unless ODQ_TELEMETRY is enabled; see
-// obs/telemetry.hpp for window semantics and the exporter):
-//   serve.latency_us             windowed series, enqueue -> response µs
+// Metrics (off unless ODQ_METRICS is on; obs/metrics.hpp has the window
+// semantics and the exporter). Every one carries {total, 1s, 10s, 60s}:
+//   serve.latency_us             series, enqueue -> response µs
 //   serve.latency_us.<scheme>    same, split per session scheme
-//   serve.batch_size             windowed series, requests per batch
-//   serve.queue_depth            windowed series, depth after push/pop
-//   serve.in_flight              windowed series, level after +-1
+//   serve.batch_size             series, requests per batch
+//   serve.queue_depth            series, depth after each push/pop (its
+//                                max is the peak depth)
+//   serve.in_flight              series, level after each +-1
 //   serve.requests / serve.errors / serve.batches / serve.rejected /
 //   serve.slo_violations / serve.deadline_exceeded / serve.degraded
-//                                windowed counters
+//                                counters
 //   serve.rejected.<tenant>      per-tenant rejection attribution (only for
 //                                submits that named a tenant)
+// Trace spans (ODQ_TRACE): serve.batch (batch execution), serve.exec,
+// serve.request and serve.queue_wait (per request, see below).
 //
 // Per-request tracing: every request gets a trace id (its request id,
 // allocated at submit). The worker wraps each session run in a
@@ -66,7 +56,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,8 +85,9 @@ struct EngineConfig {
   ShadowLane* shadow = nullptr;
 };
 
-// Aggregate counters, kept engine-side (independent of ODQ_METRICS) so
-// tests and the load generator can assert on batching behavior exactly.
+// This engine's own exact tally, independent of the process-wide ODQ_METRICS
+// registry, so tests and the load generator can assert on batching
+// behavior exactly with the switch off and with several engines alive.
 struct EngineStats {
   std::uint64_t submitted = 0;  // accepted into the queue
   std::uint64_t rejected = 0;   // refused by submit (closed / fault / full)
@@ -111,9 +101,6 @@ struct EngineStats {
   // kDeadlineExceeded without running the model (load shedding).
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t degraded = 0;  // requests served via run_degraded
-  // Per-tenant rejection attribution (mirrors the serve.rejected.<tenant>
-  // telemetry counters); only tenants named in SubmitOptions appear.
-  std::map<std::string, std::uint64_t> rejected_by_tenant;
   // batch_size_hist[k] = batches that carried exactly k requests
   // (index 0 unused). Sized max_batch + 1.
   std::vector<std::uint64_t> batch_size_hist;
@@ -147,8 +134,7 @@ class ServeEngine {
 
   // Full-metadata variants (tenant attribution, deadline, degradation
   // hint) — the networked front end's entry points. Rejections are charged
-  // to opts.tenant in both EngineStats and the serve.rejected.<tenant>
-  // telemetry counter.
+  // to opts.tenant in the serve.rejected.<tenant> counter.
   util::StatusOr<std::future<InferResponse>> submit(tensor::Tensor input,
                                                     const SubmitOptions& opts);
   util::StatusOr<std::future<InferResponse>> try_submit(

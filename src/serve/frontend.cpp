@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 
 namespace odq::serve {
 
@@ -14,7 +14,10 @@ using util::StatusCode;
 using util::StatusOr;
 
 ServeFrontEnd::ServeFrontEnd(ServeEngine& engine, FrontEndConfig cfg)
-    : engine_(engine), shed_(cfg.degrade) {
+    : engine_(engine),
+      shed_(cfg.degrade),
+      shed_metric_(obs::counter("serve.shed")),
+      deadline_metric_(obs::counter("serve.deadline_exceeded")) {
   if (cfg.tenants.empty()) {
     throw std::invalid_argument("ServeFrontEnd needs at least one tenant");
   }
@@ -36,6 +39,7 @@ ServeFrontEnd::ServeFrontEnd(ServeEngine& engine, FrontEndConfig cfg)
     }
     auto t = std::make_unique<Tenant>();
     t->spec = std::move(spec);
+    t->rejected_metric = &obs::counter("serve.rejected." + t->spec.name);
     tenants_.push_back(std::move(t));
   }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -56,13 +60,13 @@ StatusOr<std::future<InferResponse>> ServeFrontEnd::submit(
   Tenant& t = *tenants_[it->second];
   if (t.spec.best_effort && shed_.level() >= 2) {
     ++t.stats.shed;
-    obs::telemetry_counter("serve.shed").increment();
+    shed_metric_.increment();
     return Status(StatusCode::kUnavailable,
                   "overload: best-effort traffic shed for " + tenant);
   }
   if (t.queue.size() >= t.spec.queue_limit) {
     ++t.stats.rejected;
-    obs::telemetry_counter("serve.rejected." + t.spec.name).increment();
+    t.rejected_metric->increment();
     return Status(StatusCode::kResourceExhausted,
                   "tenant queue limit reached for " + tenant);
   }
@@ -124,7 +128,7 @@ void ServeFrontEnd::dispatcher_loop() {
       }
     }
     if (expired) {
-      obs::telemetry_counter("serve.deadline_exceeded").increment();
+      deadline_metric_.increment();
       InferResponse res;
       res.status = Status(StatusCode::kDeadlineExceeded,
                           "deadline passed before dispatch");

@@ -58,6 +58,10 @@
 #include "serve/request.hpp"
 #include "util/status.hpp"
 
+namespace odq::obs {
+class Counter;
+}  // namespace odq::obs
+
 namespace odq::serve {
 
 struct TenantSpec {
@@ -136,12 +140,17 @@ class ServeFrontEnd {
     std::deque<QueuedRequest> queue;
     double last_finish = 0.0;  // finish tag of this tenant's newest request
     TenantStats stats;
+    obs::Counter* rejected_metric = nullptr;  // serve.rejected.<name>
   };
 
   void dispatcher_loop();
 
   ServeEngine& engine_;
   LoadShedController shed_;
+  // Metric handles, resolved here rather than under mutex_ (a registry
+  // lookup takes the registry's own mutex).
+  obs::Counter& shed_metric_;      // serve.shed
+  obs::Counter& deadline_metric_;  // serve.deadline_exceeded
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

@@ -1,7 +1,6 @@
 #include "serve/queue.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 
 namespace odq::serve {
 
@@ -11,22 +10,11 @@ using util::StatusCode;
 namespace {
 
 // Resolved once; the registry returns the same object for the process
-// lifetime, so every RequestQueue shares one depth gauge (the engine only
-// ever constructs one queue).
-obs::Gauge& depth_gauge() {
-  static obs::Gauge& g = obs::gauge("serve.queue_depth");
-  return g;
-}
-
-// Windowed depth samples for the live exporter, alongside the gauge.
-obs::WindowedSeries& depth_series() {
-  static obs::WindowedSeries& s = obs::telemetry_series("serve.queue_depth");
-  return s;
-}
-
+// lifetime, so every RequestQueue shares one depth series (the engine only
+// ever constructs one queue). Its max is the peak depth.
 void note_depth(std::size_t depth) {
-  depth_gauge().set(static_cast<double>(depth));
-  depth_series().record(depth);
+  static obs::Series& s = obs::series("serve.queue_depth");
+  s.record(depth);
 }
 
 }  // namespace

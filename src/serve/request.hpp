@@ -49,7 +49,7 @@ struct InferResponse {
 struct SubmitOptions {
   std::uint64_t tag = kNoRequestTag;
   // Tenant identity for admission attribution (serve.rejected.<tenant>
-  // telemetry and the front end's per-tenant accounting). Empty = untracked.
+  // metrics and the front end's per-tenant accounting). Empty = untracked.
   std::string tenant;
   // Absolute shed point: a request whose deadline passed before execution
   // is answered kDeadlineExceeded without running the model.

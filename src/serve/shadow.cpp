@@ -3,7 +3,7 @@
 #include <exception>
 #include <utility>
 
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 #include "util/logging.hpp"
 
 namespace odq::serve {
@@ -17,6 +17,19 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+// Resolved once: a registry lookup takes its mutex.
+struct ShadowMetrics {
+  obs::Counter& samples = obs::counter("quality.shadow_samples");
+  obs::Counter& dropped = obs::counter("quality.shadow_dropped");
+  obs::Counter& evaluated = obs::counter("quality.shadow_evaluated");
+  obs::Counter& errors = obs::counter("quality.shadow_errors");
+};
+
+ShadowMetrics& shadow_metrics() {
+  static ShadowMetrics m;
+  return m;
 }
 
 }  // namespace
@@ -41,13 +54,13 @@ bool ShadowLane::sampled(std::uint64_t tag) const {
 void ShadowLane::offer(std::uint64_t tag, const tensor::Tensor& input) {
   if (cfg_.rate == 0) return;
   if (!sampled(tag)) return;
-  obs::telemetry_counter("quality.shadow_samples").increment();
+  shadow_metrics().samples.increment();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++samples_;
     if (stopping_ || queue_.size() >= cfg_.queue_capacity) {
       ++dropped_;
-      obs::telemetry_counter("quality.shadow_dropped").increment();
+      shadow_metrics().dropped.increment();
       return;
     }
     queue_.push_back(Item{tag, input});  // copies the tensor
@@ -69,13 +82,13 @@ void ShadowLane::run() {
       obs::FidelityScope scope;
       (void)session_->run(item.input);
       monitor_.observe(item.tag, item.input, scope.snapshot());
-      obs::telemetry_counter("quality.shadow_evaluated").increment();
+      shadow_metrics().evaluated.increment();
       std::lock_guard<std::mutex> lock(mutex_);
       ++evaluated_;
     } catch (const std::exception& e) {
       ODQ_LOG_WARN("shadow: reference evaluation failed for tag %llu: %s",
                    static_cast<unsigned long long>(item.tag), e.what());
-      obs::telemetry_counter("quality.shadow_errors").increment();
+      shadow_metrics().errors.increment();
       std::lock_guard<std::mutex> lock(mutex_);
       ++errors_;
     }

@@ -18,7 +18,7 @@
 //     registry and the serving workers are untouched), which makes the
 //     instrumented executor compare every conv against the FP32 reference,
 //     then hands the per-request cells to the QualityMonitor for
-//     accumulation, telemetry, and drift detection (obs/quality.hpp).
+//     accumulation, metric series, and drift detection (obs/quality.hpp).
 //
 // stop() drains everything already accepted and joins, so after stop()
 // the monitor has seen every sampled request — CI asserts exact sample

@@ -1,49 +1,9 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace odq::util {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("percentile: empty sample");
@@ -59,35 +19,6 @@ double percentile(std::vector<double> values, double q) {
 double percentile(std::vector<float> values, double q) {
   std::vector<double> d(values.begin(), values.end());
   return percentile(std::move(d), q);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: need bins > 0 and hi > lo");
-  }
-}
-
-void Histogram::add(double x) { add_n(x, 1); }
-
-void Histogram::add_n(double x, std::size_t n) {
-  auto bin = static_cast<long>(std::floor((x - lo_) / width_));
-  bin = std::clamp(bin, 0L, static_cast<long>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(bin)] += n;
-  total_ += n;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
 }
 
 }  // namespace odq::util

@@ -1,65 +1,14 @@
-// Streaming statistics, percentiles and fixed-bin histograms used by the
-// experiment harnesses (per-layer sensitivity distributions, precision-loss
-// summaries, PE idleness breakdowns, ...).
+// Sample percentiles used by the experiment harnesses (calibration
+// thresholds, activation clipping, load-generator latency summaries).
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace odq::util {
-
-// Welford streaming mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // population variance
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  void merge(const RunningStats& other);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Percentile of a sample (linear interpolation between order statistics).
 // q in [0, 1]. The input is copied; the original order is preserved.
 double percentile(std::vector<double> values, double q);
 double percentile(std::vector<float> values, double q);
-
-// Fixed-width histogram over [lo, hi). Out-of-range samples clamp to the
-// first/last bin so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add_n(double x, std::size_t n);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_[bin]; }
-  std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-  // Fraction of samples in the bin; 0 when the histogram is empty.
-  double fraction(std::size_t bin) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace odq::util

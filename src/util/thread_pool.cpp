@@ -27,10 +27,9 @@ obs::Counter& busy_us_counter() {
   static obs::Counter& c = obs::counter("threadpool.worker_busy_us");
   return c;
 }
-obs::Distribution& queue_wait_dist() {
-  static obs::Distribution& d =
-      obs::distribution("threadpool.queue_wait_us", 0.0, 10000.0, 64);
-  return d;
+obs::Series& queue_wait_series() {
+  static obs::Series& s = obs::series("threadpool.queue_wait_us");
+  return s;
 }
 
 bool observing() { return obs::metrics_enabled() || obs::trace_enabled(); }
@@ -130,7 +129,8 @@ void ThreadPool::worker_loop() {
     if (observing()) {
       const double start_us = obs::trace_now_us();
       if (task.enqueue_us > 0.0) {
-        queue_wait_dist().record(start_us - task.enqueue_us);
+        queue_wait_series().record(static_cast<std::uint64_t>(
+            std::max(0.0, start_us - task.enqueue_us)));
       }
       task.job->run_chunks();
       const double end_us = obs::trace_now_us();

@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "gemm/gemm.hpp"
+#include "gemm/packed.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
@@ -125,13 +127,19 @@ TEST(OdqRecombination, SplitTermConvsReproduceFullInt4Conv) {
           random_weights(Shape{5, 3, 3, 3}, seed++), 4);
       const int lb = 2;
 
-      tensor::TensorI32 full = quant::conv2d_i8_fast(in.q, w.q, stride, pad);
+      // The packed INT-GEMM core: pack both operands, then gemm_conv_i8.
+      auto conv = [&](const tensor::TensorI8& a, const tensor::TensorI8& b) {
+        return gemm::gemm_conv_i8(
+            gemm::pack_im2col_i8(a, b.shape()[2], b.shape()[3], stride, pad),
+            gemm::pack_weights_i8(b), /*shift=*/0);
+      };
+      tensor::TensorI32 full = conv(in.q, w.q);
       quant::SplitTensor is = quant::split(in, lb);
       quant::SplitTensor ws = quant::split(w, lb);
-      tensor::TensorI32 hh = quant::conv2d_i8_fast(is.high, ws.high, stride, pad);
-      tensor::TensorI32 hl = quant::conv2d_i8_fast(is.high, ws.low, stride, pad);
-      tensor::TensorI32 lh = quant::conv2d_i8_fast(is.low, ws.high, stride, pad);
-      tensor::TensorI32 ll = quant::conv2d_i8_fast(is.low, ws.low, stride, pad);
+      tensor::TensorI32 hh = conv(is.high, ws.high);
+      tensor::TensorI32 hl = conv(is.high, ws.low);
+      tensor::TensorI32 lh = conv(is.low, ws.high);
+      tensor::TensorI32 ll = conv(is.low, ws.low);
       for (std::int64_t i = 0; i < full.numel(); ++i) {
         ASSERT_EQ((hh[i] << (2 * lb)) + ((hl[i] + lh[i]) << lb) + ll[i],
                   full[i])

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/im2col_i8.hpp"
 #include "common/proptest.hpp"
 #include "core/odq.hpp"
 #include "gemm/gemm.hpp"
@@ -213,7 +214,7 @@ TEST(GemmRoundTrip, PackedIm2colUnpacksToReferenceIm2col) {
     const testprop::QuantConvCase qc = testprop::random_quant_conv(c.rng(), g);
 
     const TensorI8 oracle =
-        quant::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
+        testutil::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
     const PackedIm2col packed =
         pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
     const TensorI8 unpacked = unpack_im2col_i8(packed, g.c, g.k, g.k);
@@ -243,7 +244,7 @@ TEST(GemmRoundTrip, DigitSplitPackRecomposesToFullCodes) {
         testprop::random_quant_conv(c.rng(), g, p.total_bits);
 
     const TensorI8 oracle =
-        quant::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
+        testutil::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
     const PackedSplitIm2col split =
         pack_im2col_split(qc.input.q, p.low_bits, g.k, g.k, g.stride, g.pad);
     const TensorI8 recomposed =

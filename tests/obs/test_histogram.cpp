@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/proptest.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace odq::obs {
@@ -248,7 +248,7 @@ TEST(ShardedLogHistogram, ConcurrentRecordingMatchesSerialExactly) {
   EXPECT_TRUE(sharded.merged().empty());
 }
 
-// -- Windowed ring (WindowedSeries / WindowedCounter) ---------------------
+// -- Epoch ring (Series / Counter) ----------------------------------------
 //
 // These drive advance() with a manual epoch clock; no wall time anywhere.
 
@@ -257,12 +257,12 @@ constexpr std::uint64_t kSec = 1000000 * kUs;
 
 class WindowRingTest : public ::testing::Test {
  protected:
-  void SetUp() override { set_telemetry_enabled(true); }
-  void TearDown() override { set_telemetry_enabled(false); }
+  void SetUp() override { set_metrics_enabled(true); }
+  void TearDown() override { set_metrics_enabled(false); }
 };
 
 TEST_F(WindowRingTest, SamplesBecomeVisibleOnAdvance) {
-  WindowedSeries s("t.ring.visible");
+  Series s("t.ring.visible");
   s.record(100);
   s.record(200);
   // Not yet advanced: windows are empty, total sees everything.
@@ -276,7 +276,7 @@ TEST_F(WindowRingTest, SamplesBecomeVisibleOnAdvance) {
 }
 
 TEST_F(WindowRingTest, SameEpochAccumulatesIntoOneSlot) {
-  WindowedSeries s("t.ring.same_epoch");
+  Series s("t.ring.same_epoch");
   s.record(10);
   s.advance(5 * kSec);
   s.record(20);
@@ -288,7 +288,7 @@ TEST_F(WindowRingTest, SameEpochAccumulatesIntoOneSlot) {
 }
 
 TEST_F(WindowRingTest, OldEpochsAgeOutOfNarrowWindowsFirst) {
-  WindowedSeries s("t.ring.ageout");
+  Series s("t.ring.ageout");
   s.record(111);
   s.advance(0 * kSec);  // epoch 0 carries one sample
   s.record(222);
@@ -313,7 +313,7 @@ TEST_F(WindowRingTest, OldEpochsAgeOutOfNarrowWindowsFirst) {
 }
 
 TEST_F(WindowRingTest, EpochSkipLeavesInterveningEpochsEmpty) {
-  WindowedSeries s("t.ring.skip");
+  Series s("t.ring.skip");
   s.record(1);
   s.advance(0 * kSec);
   // No samples for epochs 1..58, then one at 59.
@@ -326,7 +326,7 @@ TEST_F(WindowRingTest, EpochSkipLeavesInterveningEpochsEmpty) {
 }
 
 TEST_F(WindowRingTest, ClockJumpPastWholeRingDropsStaleSlots) {
-  WindowedSeries s("t.ring.jump");
+  Series s("t.ring.jump");
   s.record(7);
   s.advance(3 * kSec);
   EXPECT_EQ(s.window(60).count(), 1u);
@@ -346,7 +346,7 @@ TEST_F(WindowRingTest, ClockJumpPastWholeRingDropsStaleSlots) {
 }
 
 TEST_F(WindowRingTest, BackwardsClockFoldsIntoCurrentEpoch) {
-  WindowedSeries s("t.ring.backwards");
+  Series s("t.ring.backwards");
   s.record(1);
   s.advance(10 * kSec);
   // A now_us older than the current epoch must not tear the ring: the
@@ -358,7 +358,7 @@ TEST_F(WindowRingTest, BackwardsClockFoldsIntoCurrentEpoch) {
 }
 
 TEST_F(WindowRingTest, ResetClearsSamplesButKeepsWorking) {
-  WindowedSeries s("t.ring.reset");
+  Series s("t.ring.reset");
   s.record(5);
   s.advance(1 * kSec);
   s.reset();
@@ -370,16 +370,16 @@ TEST_F(WindowRingTest, ResetClearsSamplesButKeepsWorking) {
 }
 
 TEST_F(WindowRingTest, DisabledRecordIsANoOp) {
-  WindowedSeries s("t.ring.disabled");
-  set_telemetry_enabled(false);
+  Series s("t.ring.disabled");
+  set_metrics_enabled(false);
   s.record(9);
-  set_telemetry_enabled(true);
+  set_metrics_enabled(true);
   s.advance(1 * kSec);
   EXPECT_EQ(s.total().count(), 0u);
 }
 
 TEST_F(WindowRingTest, CounterWindowsTrackDeltas) {
-  WindowedCounter c("t.ring.counter");
+  Counter c("t.ring.counter");
   c.add(5);
   c.advance(0 * kSec);
   EXPECT_EQ(c.total(), 5);

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 #include "serve/degrade.hpp"
 #include "serve/engine.hpp"
 #include "serve/session.hpp"
@@ -162,8 +162,8 @@ TEST(ServeFrontEnd, InvalidTenantRostersAreRefusedAtConstruction) {
 }
 
 TEST(ServeFrontEnd, QueueLimitRejectionIsTypedAndCounted) {
-  obs::set_telemetry_enabled(true);
-  obs::telemetry_counter("serve.rejected.bronze").reset();
+  obs::set_metrics_enabled(true);
+  obs::counter("serve.rejected.bronze").reset();
 
   EchoState state;
   state.gated = true;
@@ -185,14 +185,14 @@ TEST(ServeFrontEnd, QueueLimitRejectionIsTypedAndCounted) {
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(fe.tenant_stats("bronze").rejected, 1u);
   EXPECT_EQ(fe.tenant_stats("bronze").accepted, 2u);
-  EXPECT_EQ(obs::telemetry_counter("serve.rejected.bronze").total(), 1);
+  EXPECT_EQ(obs::counter("serve.rejected.bronze").total(), 1);
 
   state.release();
   for (auto& f : plugs) EXPECT_TRUE(f.get().status.ok());
   for (auto& f : accepted) EXPECT_TRUE(f.get().status.ok());
   fe.shutdown();
   engine.shutdown();
-  obs::set_telemetry_enabled(false);
+  obs::set_metrics_enabled(false);
 }
 
 TEST(ServeFrontEnd, WeightedFairQueueingDrainsByWeight) {

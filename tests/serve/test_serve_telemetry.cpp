@@ -25,7 +25,7 @@
 #include "nn/linear.hpp"
 #include "nn/model.hpp"
 #include "nn/pooling.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/session.hpp"
@@ -50,12 +50,12 @@ const int kForcePoolSize = [] {
 class ServeTelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::set_telemetry_enabled(true);
-    obs::telemetry_reset();
+    obs::set_metrics_enabled(true);
+    obs::metrics_reset();
   }
   void TearDown() override {
-    obs::telemetry_reset();
-    obs::set_telemetry_enabled(false);
+    obs::metrics_reset();
+    obs::set_metrics_enabled(false);
     obs::trace_clear();
     obs::set_trace_enabled(false);
   }
@@ -76,7 +76,7 @@ class DoubleSession : public InferenceSession {
 // The TSan satellite: a 1ms background flusher advancing every registered
 // series while 4 workers record latencies/batch sizes/queue depths, and a
 // concurrent reader tailing the snapshot file. Any lock-ordering or shard
-// race in histogram/telemetry shows up here under -fsanitize=thread; the
+// race in the histogram/metrics registry shows up here under -fsanitize=thread; the
 // reader pins the valid-or-absent contract (atomic rename means a reader
 // never observes a torn document).
 TEST_F(ServeTelemetryTest, ExporterFlushesConcurrentlyWithServingLoad) {
@@ -84,10 +84,10 @@ TEST_F(ServeTelemetryTest, ExporterFlushesConcurrentlyWithServingLoad) {
       testutil::temp_path("odq_serve_telemetry_tsan.json");
   std::remove(snap_path.c_str());
 
-  obs::TelemetryExporterConfig ecfg;
+  obs::MetricsExporterConfig ecfg;
   ecfg.json_path = snap_path;
   ecfg.flush_interval_ms = 1;
-  obs::TelemetryExporter exporter(ecfg);
+  obs::MetricsExporter exporter(ecfg);
   exporter.start();
 
   std::atomic<bool> done{false};
@@ -146,6 +146,71 @@ TEST_F(ServeTelemetryTest, ExporterFlushesConcurrentlyWithServingLoad) {
   ASSERT_TRUE(doc->at("series").has("serve.latency_us.double"));
   EXPECT_GE(exporter.flush_count(), 1u);
   std::remove(snap_path.c_str());
+}
+
+// Each engine event is written once to the registry and once to
+// EngineStats, so with the switch on the two agree exactly.
+TEST_F(ServeTelemetryTest, MetricsCountEachRequestExactlyOnce) {
+  constexpr int kRequests = 64;
+  EngineConfig cfg;
+  cfg.num_workers = 2;
+  cfg.max_batch = 4;
+  cfg.flush_timeout_us = 200;
+  ServeEngine engine(cfg, [](int) { return std::make_unique<DoubleSession>(); });
+  std::vector<std::future<InferResponse>> futs;
+  for (int i = 0; i < kRequests; ++i) {
+    Tensor t(Shape{1, 1, 1, 1});
+    t[0] = static_cast<float>(i);
+    auto f = engine.submit(std::move(t));
+    ASSERT_TRUE(f.ok());
+    futs.push_back(std::move(*f));
+  }
+  for (auto& f : futs) ASSERT_TRUE(f.get().status.ok());
+  engine.shutdown();
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(obs::counter("serve.requests").total(), kRequests);
+  EXPECT_EQ(obs::series("serve.latency_us").total().count(),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(obs::counter("serve.batches").total(),
+            static_cast<std::int64_t>(stats.batches));
+  EXPECT_EQ(obs::series("serve.batch_size").total().sum(),
+            static_cast<std::uint64_t>(kRequests));
+  // One +1 and one -1 level sample per request.
+  EXPECT_EQ(obs::series("serve.in_flight").total().count(),
+            static_cast<std::uint64_t>(2 * kRequests));
+  EXPECT_EQ(obs::counter("serve.errors").total(), 0);
+}
+
+// Total of counter `name` in a fresh snapshot; -1 when it is not registered.
+std::int64_t snapshot_total(const std::string& name) {
+  for (const obs::CounterSnapshot& c : obs::metrics_snapshot(0).counters) {
+    if (c.name == name) return c.total;
+  }
+  return -1;
+}
+
+// A rejected submit's tenant is free-form, so with the switch off its
+// serve.rejected.<tenant> handle must not even be looked up: no registry
+// entry appears. With the switch on the rejection is attributed.
+TEST_F(ServeTelemetryTest, SwitchOffRejectionRegistersNoTenantMetric) {
+  const std::string name = "serve.rejected.tenant-never-seen";
+  ServeEngine engine(EngineConfig{},
+                     [](int) { return std::make_unique<DoubleSession>(); });
+  engine.shutdown();  // every submit is now refused
+  SubmitOptions opts;
+  opts.tenant = "tenant-never-seen";
+
+  obs::set_metrics_enabled(false);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(engine.submit(Tensor(Shape{1, 1, 1, 1}), opts).ok());
+  }
+  EXPECT_EQ(engine.stats().rejected, 3u);
+  EXPECT_EQ(snapshot_total(name), -1);
+
+  obs::set_metrics_enabled(true);
+  EXPECT_FALSE(engine.submit(Tensor(Shape{1, 1, 1, 1}), opts).ok());
+  EXPECT_EQ(snapshot_total(name), 1);
 }
 
 // The acceptance-criteria trace check: with an aggressive SLO every request

@@ -2,107 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
-#include <tuple>
+#include <vector>
 
 namespace odq::util {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(4.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 4.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(RunningStats, KnownSequence) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 3 + i * 0.01;
-    (i < 20 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsNoop) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
-TEST(RunningStats, MergeEmptyIntoEmpty) {
-  RunningStats a, b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.variance(), 0.0);
-  EXPECT_EQ(a.sum(), 0.0);
-}
-
-TEST(RunningStats, MergeNonEmptyIntoEmpty) {
-  RunningStats empty, b;
-  b.add(2.0);
-  b.add(6.0);
-  empty.merge(b);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(empty.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(empty.min(), 2.0);
-  EXPECT_DOUBLE_EQ(empty.max(), 6.0);
-  EXPECT_DOUBLE_EQ(empty.sum(), 8.0);
-}
-
-TEST(RunningStats, MergedVarianceMatchesDirectComputation) {
-  // Shard the same sequence three ways; the merged moments must agree with
-  // the direct two-pass variance, not just with streaming single-shard adds.
-  std::vector<double> xs;
-  for (int i = 0; i < 97; ++i) xs.push_back(std::cos(i * 1.3) * 5 + i * 0.02);
-  RunningStats shards[3], merged;
-  for (std::size_t i = 0; i < xs.size(); ++i) shards[i % 3].add(xs[i]);
-  for (auto& s : shards) merged.merge(s);
-
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(xs.size());
-
-  EXPECT_EQ(merged.count(), xs.size());
-  EXPECT_NEAR(merged.mean(), mean, 1e-12);
-  EXPECT_NEAR(merged.variance(), var, 1e-9);
-}
 
 TEST(Percentile, SingleElementIsConstantInQ) {
   std::vector<double> v{7.5};
@@ -139,67 +44,6 @@ TEST(Percentile, ThrowsOnEmpty) {
 TEST(Percentile, FloatOverload) {
   std::vector<float> v{1.0f, 2.0f, 3.0f};
   EXPECT_DOUBLE_EQ(percentile(v, 0.5), 2.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(Histogram, BinsSamplesCorrectly) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.1);   // bin 0
-  h.add(0.3);   // bin 1
-  h.add(0.55);  // bin 2
-  h.add(0.9);   // bin 3
-  for (std::size_t b = 0; b < 4; ++b) EXPECT_EQ(h.count(b), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(Histogram, ExactEdgesClampWithoutDroppingMass) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.0);   // lower edge: first bin
-  h.add(1.0);   // upper edge: [lo, hi) puts hi in the (clamped) last bin
-  h.add(0.25);  // interior bin boundary belongs to the higher bin
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, AddNCountsTowardTotals) {
-  Histogram h(0.0, 1.0, 2);
-  h.add_n(0.1, 5);
-  h.add_n(0.9, 0);  // n == 0 adds nothing
-  h.add_n(7.0, 2);  // clamps into the last bin, still counted
-  EXPECT_EQ(h.count(0), 5u);
-  EXPECT_EQ(h.count(1), 2u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 2.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 1.5);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 2.0);
-}
-
-TEST(Histogram, Fractions) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);  // empty
-  h.add_n(0.1, 3);
-  h.add(0.9);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.75);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 0.25);
 }
 
 class PercentileSweep : public ::testing::TestWithParam<double> {};

@@ -249,7 +249,7 @@ int tool_main(int argc, char** argv) {
     w.end_array();
     w.kv("total_bytes_moved", total_bytes);
     w.key("metrics");
-    obs::metrics_to_json(w);
+    obs::metrics_to_json(obs::metrics_snapshot(obs::metrics_clock_us()), w);
     w.end_object();
 
     const std::string report = w.take();

@@ -36,7 +36,7 @@
 //   --verify              check bit-identity against sequential execution
 //   --require-batching    fail unless some batch carried > 1 request
 //   --json <path>         write the bench-JSON document
-//   --telemetry <path>    enable live telemetry; run a background exporter
+//   --telemetry <path>    switch metrics on; run a background exporter
 //                         writing the windowed snapshot to <path> (JSON)
 //                         and <path base>.prom (Prometheus text) while the
 //                         load runs; tail it live with tools/odq_top
@@ -98,7 +98,6 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/frontend.hpp"
@@ -1184,21 +1183,19 @@ int tool_main(int argc, char** argv) {
   std::vector<std::shared_ptr<nn::ConvExecutor>> worker_execs(
       static_cast<std::size_t>(opt.workers));
 
-  // Telemetry: switch the windowed registry on and run the background
-  // exporter over the whole load phase, so odq_top can tail the snapshot
-  // while the run is live. Metrics come on too — the queue-depth peak line
-  // below reads the gauge watermark.
-  std::unique_ptr<obs::TelemetryExporter> exporter;
+  // Telemetry: switch metrics on and run the background exporter over the
+  // whole load phase, so odq_top can tail the snapshot while the run is
+  // live.
+  std::unique_ptr<obs::MetricsExporter> exporter;
   if (!opt.telemetry_path.empty()) {
-    obs::set_telemetry_enabled(true);
     obs::set_metrics_enabled(true);
-    obs::TelemetryExporterConfig tcfg;
+    obs::MetricsExporterConfig tcfg;
     tcfg.json_path = opt.telemetry_path;
     tcfg.prom_path = prom_path_for(opt.telemetry_path);
     tcfg.flush_interval_ms =
         static_cast<std::uint64_t>(std::max<std::int64_t>(
             1, opt.telemetry_flush_ms));
-    exporter = std::make_unique<obs::TelemetryExporter>(std::move(tcfg));
+    exporter = std::make_unique<obs::MetricsExporter>(std::move(tcfg));
     exporter->start();
   }
 
@@ -1351,10 +1348,9 @@ int tool_main(int argc, char** argv) {
   int telemetry_quantile_check = -1;  // -1 not run, 0 failed, 1 passed
   int telemetry_snapshot_valid = -1;
   std::uint64_t telemetry_observed = 0;
-  obs::TelemetryWindowStats telemetry_total;
+  obs::WindowStats telemetry_total;
   if (!opt.telemetry_path.empty()) {
-    const obs::LogHistogram hist =
-        obs::telemetry_series("serve.latency_us").total();
+    const obs::LogHistogram hist = obs::series("serve.latency_us").total();
     telemetry_observed = hist.count();
     telemetry_total.count = hist.count();
     telemetry_total.mean = hist.mean();
@@ -1526,9 +1522,9 @@ int tool_main(int argc, char** argv) {
                    telemetry_snapshot_valid == 1 ? opt.telemetry_path.c_str()
                                                  : "INVALID");
       std::fprintf(stderr,
-                   "  queue depth peak %.0f  slo violations %" PRIu64
+                   "  queue depth peak %" PRIu64 "  slo violations %" PRIu64
                    " (slo %lld us)  trace drops %" PRIu64 "\n",
-                   obs::gauge("serve.queue_depth").max_watermark(),
+                   obs::series("serve.queue_depth").total().max(),
                    stats.slo_violations, static_cast<long long>(opt.slo_us),
                    obs::trace_dropped_events());
       if (opt.check_telemetry) {
@@ -1583,8 +1579,8 @@ int tool_main(int argc, char** argv) {
       w.kv("section", "telemetry");
       w.kv("model", opt.model);
       w.kv("scheme", opt.scheme);
-      w.kv("schema_version", obs::kTelemetrySchemaVersion);
-      w.kv("windows", static_cast<int>(obs::kTelemetryWindowsS.size()));
+      w.kv("schema_version", obs::kMetricsSchemaVersion);
+      w.kv("windows", static_cast<int>(obs::kMetricWindowsS.size()));
       w.kv("sub_bucket_bits", obs::kLogHistSubBits);
       w.kv("max_value_pow2", obs::kLogHistMaxPow);
       w.kv("observed", static_cast<std::int64_t>(telemetry_observed));

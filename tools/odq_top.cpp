@@ -1,6 +1,6 @@
-// odq_top — live viewer for the telemetry snapshot the TelemetryExporter
-// writes (see obs/telemetry.hpp and the "Serving telemetry" section of
-// docs/observability.md).
+// odq_top — live viewer for the metrics snapshot the MetricsExporter
+// writes (odq_serve --telemetry; see obs/metrics.hpp and the "Serving
+// telemetry" section of docs/observability.md).
 //
 //   odq_top --snapshot serve.telemetry.json            # live tail
 //   odq_top --once --json --snapshot serve.telemetry.json   # scripting
@@ -11,7 +11,7 @@
 // counter, plus the flush sequence and the trace droppedEvents counter.
 //
 // Options:
-//   --snapshot <path>   snapshot file (default: the ODQ_TELEMETRY path)
+//   --snapshot <path>   snapshot file (required)
 //   --interval-ms <n>   poll interval in live mode (default 500)
 //   --iterations <n>    stop after n renders (0 = until interrupted)
 //   --once              read and render once, then exit (exit 1 when the
@@ -34,7 +34,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/telemetry.hpp"
+#include "obs/metrics.hpp"
 #include "tool_main.hpp"
 #include "util/json.hpp"
 #include "util/json_read.hpp"
@@ -55,7 +55,7 @@ struct Options {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: odq_top [--snapshot snap.json] [--interval-ms n]\n"
+               "usage: odq_top --snapshot snap.json [--interval-ms n]\n"
                "               [--iterations n] [--once] [--json]\n"
                "               [--section prefix]\n");
   return 2;
@@ -114,7 +114,7 @@ util::Status validate(const util::JsonValue& doc) {
                         "not an odq_telemetry snapshot");
   }
   const double version = num_or(doc, "schema_version", -1.0);
-  if (version != static_cast<double>(obs::kTelemetrySchemaVersion)) {
+  if (version != static_cast<double>(obs::kMetricsSchemaVersion)) {
     return util::Status(util::StatusCode::kFailedPrecondition,
                         "unsupported telemetry schema_version");
   }
@@ -261,10 +261,8 @@ int tool_main(int argc, char** argv) {
       return usage();
     }
   }
-  if (opt.snapshot.empty()) opt.snapshot = obs::telemetry_env_path();
   if (opt.snapshot.empty()) {
-    std::fprintf(stderr,
-                 "odq_top: no snapshot path (--snapshot or ODQ_TELEMETRY)\n");
+    std::fprintf(stderr, "odq_top: --snapshot is required\n");
     return usage();
   }
   if (opt.interval_ms < 1) opt.interval_ms = 1;
