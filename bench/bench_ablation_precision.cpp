@@ -21,21 +21,11 @@ int main() {
   auto convs = model.assign_conv_ids();
   nn::Conv2d* conv = convs[convs.size() / 2];
 
-  // Cache its input with one forward.
-  auto exec = std::make_shared<drq::DrqConvExecutor>(bench::default_drq_config());
-  model.set_conv_executor(exec);
-  const auto& data = bench::dataset(10);
-  const std::int64_t chw = data.test.images.shape()[1] *
-                           data.test.images.shape()[2] *
-                           data.test.images.shape()[3];
-  tensor::Tensor batch(
-      tensor::Shape{2, data.test.images.shape()[1],
-                    data.test.images.shape()[2], data.test.images.shape()[3]},
-      std::vector<float>(data.test.images.data(),
-                         data.test.images.data() + 2 * chw));
-  (void)model.forward(batch, false);
-  model.set_conv_executor(nullptr);
-  const tensor::Tensor& x = conv->cached_input();
+  // Record its input with one forward.
+  const tensor::Tensor x = nn::record_conv_inputs(
+      model, bench::test_batch(10, 2),
+      std::make_shared<drq::DrqConvExecutor>(bench::default_drq_config()))
+      [static_cast<std::size_t>(conv->conv_id())];
   const tensor::Tensor& w = conv->weight().value;
 
   std::printf("layer: %s (%lldx%lldx%lld kernel over %lld channels)\n\n",

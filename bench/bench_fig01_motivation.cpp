@@ -39,31 +39,28 @@ int main() {
       nn::evaluate_accuracy(model, data.test.images, data.test.labels);
   std::printf("LeNet-5 FP32 accuracy on synthetic digits: %.3f\n\n", acc);
 
-  // Cache conv inputs with one forward, then analyze each conv layer.
-  std::vector<nn::Conv2d*> convs = model.assign_conv_ids();
-  auto exec = std::make_shared<drq::DrqConvExecutor>(bench::default_drq_config());
-  model.set_conv_executor(exec);
-  tensor::Tensor batch(
-      tensor::Shape{2, 1, 28, 28},
-      std::vector<float>(data.test.images.data(),
-                         data.test.images.data() + 2 * 28 * 28));
-  (void)model.forward(batch, false);
-  model.set_conv_executor(nullptr);
+  // Record conv inputs with one forward, then analyze each conv layer.
+  const std::vector<tensor::Tensor> inputs = nn::record_conv_inputs(
+      model,
+      tensor::Tensor(tensor::Shape{2, 1, 28, 28},
+                     std::vector<float>(data.test.images.data(),
+                                        data.test.images.data() + 2 * 28 * 28)),
+      std::make_shared<drq::DrqConvExecutor>(bench::default_drq_config()));
 
   std::printf("%-6s %-34s %s\n", "layer",
               "case(1): sens. out, >50% lo inputs",
               "case(2): insens. out, >50% hi inputs");
   bench::print_rule();
-  for (nn::Conv2d* conv : convs) {
+  for (nn::Conv2d* conv : model.convs()) {
+    const tensor::Tensor& x = inputs[static_cast<std::size_t>(conv->conv_id())];
     drq::DrqConfig cfg = bench::default_drq_config();
-    cfg.input_threshold =
-        drq::calibrate_input_threshold(conv->cached_input(), cfg, 0.5);
+    cfg.input_threshold = drq::calibrate_input_threshold(x, cfg, 0.5);
     const tensor::Tensor empty_bias;
     const tensor::Tensor& bias =
         conv->bias() != nullptr ? conv->bias()->value : empty_bias;
-    const drq::LayerAnalysis a = drq::analyze_layer(
-        conv->cached_input(), conv->weight().value, bias, conv->stride(),
-        conv->pad(), cfg, 0.3f);
+    const drq::LayerAnalysis a =
+        drq::analyze_layer(x, conv->weight().value, bias, conv->stride(),
+                           conv->pad(), cfg, 0.3f);
     const double case1 = a.lowprec_share_hist[2] + a.lowprec_share_hist[3];
     const double case2 = a.highprec_share_hist[2] + a.highprec_share_hist[3];
     std::printf("C%-5d %-34.1f %.1f   (%% of that output class)\n",

@@ -21,23 +21,13 @@ std::vector<double> odq_precision_loss(const std::string& model_name) {
   nn::Model model = bench::trained_model(model_name, 10);
   std::vector<nn::Conv2d*> convs = model.assign_conv_ids();
   const core::OdqConfig cfg = bench::default_odq_config(model_name);
-  auto exec = std::make_shared<core::OdqConvExecutor>(cfg);
-  model.set_conv_executor(exec);
-  const auto& data = bench::dataset(10);
-  const std::int64_t chw = data.test.images.shape()[1] *
-                           data.test.images.shape()[2] *
-                           data.test.images.shape()[3];
-  tensor::Tensor batch(
-      tensor::Shape{2, data.test.images.shape()[1],
-                    data.test.images.shape()[2], data.test.images.shape()[3]},
-      std::vector<float>(data.test.images.data(),
-                         data.test.images.data() + 2 * chw));
-  (void)model.forward(batch, false);
-  model.set_conv_executor(nullptr);
+  const std::vector<tensor::Tensor> inputs = nn::record_conv_inputs(
+      model, bench::test_batch(10, 2),
+      std::make_shared<core::OdqConvExecutor>(cfg));
 
   std::vector<double> losses;
   for (nn::Conv2d* conv : convs) {
-    const tensor::Tensor& x = conv->cached_input();
+    const tensor::Tensor& x = inputs[static_cast<std::size_t>(conv->conv_id())];
     const tensor::Tensor empty_bias;
     const tensor::Tensor& bias =
         conv->bias() != nullptr ? conv->bias()->value : empty_bias;

@@ -18,16 +18,8 @@ void run_model(const char* model_name, const char* figure) {
   auto exec = std::make_shared<core::OdqConvExecutor>(cfg);
   model.set_conv_executor(exec);
 
-  const auto& data = bench::dataset(10);
-  const std::int64_t n = std::min<std::int64_t>(8, data.test.size());
-  const std::int64_t chw = data.test.images.shape()[1] *
-                           data.test.images.shape()[2] *
-                           data.test.images.shape()[3];
-  tensor::Tensor batch(
-      tensor::Shape{n, data.test.images.shape()[1],
-                    data.test.images.shape()[2], data.test.images.shape()[3]},
-      std::vector<float>(data.test.images.data(),
-                         data.test.images.data() + n * chw));
+  const tensor::Tensor batch = bench::test_batch(10, 8);
+  const std::int64_t n = batch.shape()[0];
   (void)model.forward(batch, false);
   model.set_conv_executor(nullptr);
 

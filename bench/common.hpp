@@ -67,6 +67,10 @@ nn::Model finetuned_model(const std::string& model_name, int variant,
 // Accuracy of `model` on the `variant` test split.
 double test_accuracy(nn::Model& model, int variant);
 
+// The first min(n, test size) images of the `variant` test split as one
+// [n,C,H,W] batch.
+tensor::Tensor test_batch(int variant, std::int64_t n);
+
 // Per-layer accelerator workloads for a trained model (ODQ masks + DRQ
 // fractions extracted from one test batch).
 std::vector<accel::ConvWorkload> workloads_for(const std::string& model_name,

@@ -109,7 +109,7 @@ DenseBlock::DenseBlock(std::int64_t in_channels, std::int64_t growth,
 }
 
 Tensor DenseBlock::forward(const Tensor& x, bool train) {
-  cached_concat_.clear();
+  if (train) cached_concat_.clear();
   Tensor features = x;
   for (auto& inner : layers_) {
     if (train) cached_concat_.push_back(features);

@@ -56,8 +56,10 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
 
   // Quantized path: the executor produces the forward value; backward uses
   // the straight-through estimator on the cached FP32 input.
-  cached_input_ = x;
-  have_cols_ = false;
+  if (train) {
+    cached_input_ = x;
+    have_cols_ = false;
+  }
   return executor_->run(x, weight_.value, bias_.value, stride_, pad_,
                         conv_id_);
 }

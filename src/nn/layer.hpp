@@ -39,7 +39,7 @@ class Conv2d;
 
 // Numeric scheme used by a Conv2d forward pass. run() must return the conv
 // output (bias already applied) in float. `conv_id` identifies the layer for
-// per-layer statistics.
+// per-layer statistics. Threads that share a model call run() concurrently.
 class ConvExecutor {
  public:
   virtual ~ConvExecutor() = default;
@@ -57,7 +57,8 @@ class Layer {
   virtual ~Layer() = default;
 
   // `train` selects batch statistics (BatchNorm) and enables caching for
-  // backward. Evaluation passes may skip caches where indicated.
+  // backward. An eval forward (`train` false) writes nothing, so several
+  // threads may run eval forwards of one model at once.
   virtual tensor::Tensor forward(const tensor::Tensor& x, bool train) = 0;
 
   // Consumes d(loss)/d(output), returns d(loss)/d(input), accumulating

@@ -10,7 +10,7 @@ using tensor::Shape;
 using tensor::Tensor;
 
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
-  input_shape_ = x.shape();
+  if (train) input_shape_ = x.shape();
   return tensor::maxpool2d(x, k_, train ? &argmax_ : nullptr);
 }
 
@@ -25,8 +25,8 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
   return dx;
 }
 
-Tensor AvgPool2d::forward(const Tensor& x, bool /*train*/) {
-  input_shape_ = x.shape();
+Tensor AvgPool2d::forward(const Tensor& x, bool train) {
+  if (train) input_shape_ = x.shape();
   return tensor::avgpool2d(x, k_);
 }
 
@@ -52,8 +52,8 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
   return dx;
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
-  input_shape_ = x.shape();
+Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
+  if (train) input_shape_ = x.shape();
   return tensor::global_avg_pool(x);
 }
 
@@ -72,8 +72,8 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   return dx;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool /*train*/) {
-  input_shape_ = x.shape();
+Tensor Flatten::forward(const Tensor& x, bool train) {
+  if (train) input_shape_ = x.shape();
   const std::int64_t n = x.shape()[0];
   return x.reshaped(Shape{n, x.numel() / n});
 }

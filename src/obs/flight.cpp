@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/fault.hpp"
 
@@ -230,47 +231,27 @@ std::uint64_t FlightRecorder::total_recorded() const {
 }
 
 util::Status FlightRecorder::dump(const std::string& path) const {
-  std::string payload;
+  std::string file(kMagic, sizeof kMagic);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    put_u32(payload, kVersion);
-    put_str(payload, context_.model);
-    put_str(payload, context_.scheme);
-    put_str(payload, context_.checkpoint);
-    put_i64(payload, context_.width);
-    put_f32(payload, context_.threshold);
-    put_u32(payload, static_cast<std::uint32_t>(ring_.size()));
+    put_u32(file, kVersion);
+    put_str(file, context_.model);
+    put_str(file, context_.scheme);
+    put_str(file, context_.checkpoint);
+    put_i64(file, context_.width);
+    put_f32(file, context_.threshold);
+    put_u32(file, static_cast<std::uint32_t>(ring_.size()));
     for (std::size_t i = 0; i < ring_.size(); ++i) {
-      serialize_record(payload, ring_[(head_ + i) % ring_.size()]);
+      serialize_record(file, ring_[(head_ + i) % ring_.size()]);
     }
   }
-  const std::uint32_t crc =
-      util::crc32(payload.data(), payload.size());
-
-  const std::string tmp = path + ".tmp";
+  put_u32(file, util::crc32(file.data() + sizeof kMagic,
+                            file.size() - sizeof kMagic));
   if (util::fault_fire("flight.dump")) {
     return Status(StatusCode::kIoError, "injected flight.dump fault");
   }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status(StatusCode::kIoError, "flight dump: cannot open " + tmp);
-  }
-  bool ok = std::fwrite(kMagic, 1, sizeof kMagic, f) == sizeof kMagic;
-  ok = ok && std::fwrite(payload.data(), 1, payload.size(), f) ==
-                 payload.size();
-  ok = ok && std::fwrite(&crc, 1, sizeof crc, f) == sizeof crc;
-  ok = ok && std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status(StatusCode::kIoError, "flight dump: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status(StatusCode::kIoError,
-                  "flight dump: cannot rename to " + path);
-  }
-  return Status::Ok();
+  const Status st = util::write_file_atomic(path, file);
+  return st.ok() ? st : Status(st.code(), "flight dump: " + st.message());
 }
 
 StatusOr<FlightDump> FlightRecorder::load(const std::string& path) {

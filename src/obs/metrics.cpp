@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
 namespace odq::obs {
@@ -358,31 +359,6 @@ std::string metrics_to_prometheus(const MetricsSnapshot& snap) {
 
 // -- Exporter -------------------------------------------------------------
 
-namespace {
-
-// tmp + rename, same valid-or-absent contract as write_chrome_trace and the
-// v3 checkpoint writer. Throws on I/O failure.
-void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    throw std::runtime_error("metrics export: cannot open " + tmp);
-  }
-  const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (n != content.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("metrics export: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("metrics export: cannot rename to " + path);
-  }
-}
-
-}  // namespace
-
 MetricsExporter::MetricsExporter(MetricsExporterConfig cfg)
     : cfg_(std::move(cfg)) {
   if (!cfg_.now_us) cfg_.now_us = metrics_clock_us;
@@ -396,10 +372,11 @@ MetricsSnapshot MetricsExporter::flush_once() {
   if (!cfg_.json_path.empty()) {
     util::JsonWriter w;
     metrics_to_json(snap, w);
-    write_file_atomic(cfg_.json_path, w.take());
+    util::write_file_atomic(cfg_.json_path, w.take()).throw_if_error();
   }
   if (!cfg_.prom_path.empty()) {
-    write_file_atomic(cfg_.prom_path, metrics_to_prometheus(snap));
+    util::write_file_atomic(cfg_.prom_path, metrics_to_prometheus(snap))
+        .throw_if_error();
   }
   return snap;
 }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/metrics.hpp"
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/json_read.hpp"
 #include "util/logging.hpp"
@@ -33,26 +33,6 @@ std::vector<double> normalized_hist(const FidelityLayerSnapshot& s) {
     out[b] = static_cast<double>(s.hist[b]) / static_cast<double>(total);
   }
   return out;
-}
-
-Status write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status(StatusCode::kIoError, "quality: cannot open " + tmp);
-  }
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  ok = ok && std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status(StatusCode::kIoError, "quality: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status(StatusCode::kIoError, "quality: cannot rename to " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -135,9 +115,7 @@ Status QualityBaseline::save(const std::string& path) const {
   }
   w.end_array();
   w.end_object();
-  std::string body = w.take();
-  body.push_back('\n');
-  return write_file_atomic(path, body);
+  return util::write_file_atomic(path, w.take() + "\n");
 }
 
 StatusOr<QualityBaseline> QualityBaseline::load(const std::string& path) {

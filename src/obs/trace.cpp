@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
 namespace odq::obs {
@@ -292,25 +293,7 @@ std::string trace_to_json() {
 }
 
 void write_chrome_trace(const std::string& path) {
-  // Write-to-temp + rename: a crash or full disk mid-write leaves the old
-  // file (or nothing) behind, never a truncated, unloadable document.
-  const std::string json = trace_to_json();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    throw std::runtime_error("write_chrome_trace: cannot open " + tmp);
-  }
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (n != json.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("write_chrome_trace: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("write_chrome_trace: cannot rename to " + path);
-  }
+  util::write_file_atomic(path, trace_to_json()).throw_if_error();
 }
 
 }  // namespace odq::obs

@@ -57,7 +57,7 @@ ServeEngine::ServeEngine(EngineConfig cfg, const SessionFactory& factory)
 
   sessions_.reserve(static_cast<std::size_t>(cfg_.num_workers));
   for (int i = 0; i < cfg_.num_workers; ++i) {
-    std::unique_ptr<InferenceSession> session = factory(i);
+    std::shared_ptr<InferenceSession> session = factory(i);
     if (session == nullptr) {
       throw std::invalid_argument(
           "ServeEngine: session factory returned null for worker " +

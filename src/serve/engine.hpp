@@ -6,11 +6,11 @@
 //                                                            │
 //                  dynamic batcher: flush on max_batch       │
 //                  or deadline timeout, whichever first      ▼
-//                                              InferenceSession (per worker)
+//                                        InferenceSession (one may serve all)
 //
-// Each worker owns its own session (model replica + executor) and pops
-// dynamic batches off the shared queue. A batch is evaluated one request
-// at a time — see session.hpp for why coalescing must never couple
+// Each worker runs the session the factory gave it (workers may share one)
+// and pops dynamic batches off the shared queue. A batch is evaluated one
+// request at a time — see session.hpp for why coalescing must never couple
 // requests numerically — and every request's promise is fulfilled with an
 // InferResponse whose util::Status carries any failure (bad input shape,
 // injected fault, executor error) without taking the worker down.
@@ -108,11 +108,12 @@ struct EngineStats {
 
 class ServeEngine {
  public:
-  // One session per worker, built by `factory` (called with worker ids
+  // Each worker's session, from `factory` (called with worker ids
   // 0..num_workers-1 on the constructing thread, so factory errors throw
-  // here, not inside a worker). Workers start immediately.
+  // here, not inside a worker); it may return one session for all. Workers
+  // start immediately.
   using SessionFactory =
-      std::function<std::unique_ptr<InferenceSession>(int worker_id)>;
+      std::function<std::shared_ptr<InferenceSession>(int worker_id)>;
 
   ServeEngine(EngineConfig cfg, const SessionFactory& factory);
   ~ServeEngine();
@@ -169,7 +170,7 @@ class ServeEngine {
 
   EngineConfig cfg_;
   RequestQueue queue_;
-  std::vector<std::unique_ptr<InferenceSession>> sessions_;
+  std::vector<std::shared_ptr<InferenceSession>> sessions_;
   std::vector<std::thread> workers_;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> next_id_{0};

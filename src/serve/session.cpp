@@ -30,33 +30,14 @@ std::shared_ptr<nn::ConvExecutor> make_conv_executor(
 
 ModelSession::ModelSession(nn::Model model,
                            std::shared_ptr<nn::ConvExecutor> executor,
-                           std::string scheme)
+                           std::string scheme,
+                           std::shared_ptr<InferenceSession> degraded)
     : model_(std::move(model)),
       executor_(std::move(executor)),
-      scheme_(std::move(scheme)) {
+      scheme_(std::move(scheme)),
+      degraded_(std::move(degraded)) {
   model_.assign_conv_ids();
   model_.set_conv_executor(executor_);
-}
-
-void ModelSession::set_degraded_executor(
-    std::shared_ptr<nn::ConvExecutor> executor, std::string scheme) {
-  degraded_executor_ = std::move(executor);
-  degraded_scheme_ = std::move(scheme);
-}
-
-tensor::Tensor ModelSession::run_degraded(const tensor::Tensor& input) {
-  if (degraded_scheme_.empty()) return run(input);
-  // Swap-run-restore: the restore must happen even when the forward throws,
-  // or the session would keep serving full-scheme requests degraded.
-  model_.set_conv_executor(degraded_executor_);
-  try {
-    tensor::Tensor out = run(input);
-    model_.set_conv_executor(executor_);
-    return out;
-  } catch (...) {
-    model_.set_conv_executor(executor_);
-    throw;
-  }
 }
 
 tensor::Tensor ModelSession::run(const tensor::Tensor& input) {

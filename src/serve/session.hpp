@@ -1,10 +1,9 @@
-// Inference sessions: the pluggable per-worker evaluation unit.
+// Inference sessions: the pluggable evaluation unit behind the engine.
 //
-// Each engine worker owns one InferenceSession (model forward passes are
-// not thread-safe — Conv2d caches its input even in eval mode — so workers
-// never share a session). A ModelSession wraps an nn::Model with one of
-// the numeric schemes (ODQ / DRQ / static-INT8 / FP32 reference) installed
-// as its ConvExecutor.
+// An eval forward writes no layer state and the conv executors lock their
+// own statistics, so one session may serve every engine worker at once. A
+// ModelSession wraps an nn::Model with one of the numeric schemes (ODQ /
+// DRQ / static-INT8 / FP32 reference) installed as its ConvExecutor.
 //
 // Batch-invariance contract: the engine evaluates a coalesced batch by
 // running each request through run() independently, one sample at a time.
@@ -58,28 +57,27 @@ class InferenceSession {
 std::shared_ptr<nn::ConvExecutor> make_conv_executor(
     const std::string& scheme, const core::OdqConfig& odq_cfg = {});
 
-// An nn::Model replica evaluating under `executor` (nullptr = FP32).
-// Takes ownership of the model; assigns conv ids and installs the executor.
+// An nn::Model evaluating under `executor` (nullptr = FP32). Takes
+// ownership of the model; assigns conv ids and installs the executor.
+// `degraded`, when set, is the cheaper session run_degraded hands its
+// requests to (e.g. static-INT8 under an ODQ primary). run() and
+// run_degraded() may be called from several threads at once.
 class ModelSession : public InferenceSession {
  public:
   ModelSession(nn::Model model, std::shared_ptr<nn::ConvExecutor> executor,
-               std::string scheme);
+               std::string scheme,
+               std::shared_ptr<InferenceSession> degraded = nullptr);
 
   tensor::Tensor run(const tensor::Tensor& input) override;
   std::string scheme() const override { return scheme_; }
 
-  // Install a cheaper executor for load-shed degradation (e.g.
-  // static-INT8 under an ODQ primary). run_degraded swaps it onto the
-  // model for the call and restores the primary afterwards — safe because
-  // each engine worker owns its session and runs single-threaded.
-  void set_degraded_executor(std::shared_ptr<nn::ConvExecutor> executor,
-                             std::string scheme);
-  tensor::Tensor run_degraded(const tensor::Tensor& input) override;
+  tensor::Tensor run_degraded(const tensor::Tensor& input) override {
+    return degraded_ != nullptr ? degraded_->run(input) : run(input);
+  }
   std::string degraded_scheme() const override {
-    return degraded_scheme_.empty() ? scheme_ : degraded_scheme_;
+    return degraded_ != nullptr ? degraded_->scheme() : scheme_;
   }
 
-  nn::Model& model() { return model_; }
   const std::shared_ptr<nn::ConvExecutor>& executor() const {
     return executor_;
   }
@@ -88,8 +86,7 @@ class ModelSession : public InferenceSession {
   nn::Model model_;
   std::shared_ptr<nn::ConvExecutor> executor_;
   std::string scheme_;
-  std::shared_ptr<nn::ConvExecutor> degraded_executor_;
-  std::string degraded_scheme_;
+  std::shared_ptr<InferenceSession> degraded_;
 };
 
 }  // namespace odq::serve

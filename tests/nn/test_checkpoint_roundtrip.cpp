@@ -7,6 +7,7 @@
 // Failures print a replay line; rerun with ODQ_TEST_SEED=<base>.
 #include <gtest/gtest.h>
 
+#include "common/checkpoint_v2.hpp"
 #include "common/temp_path.hpp"
 
 #include <cstdint>
@@ -140,7 +141,7 @@ TEST_F(CheckpointRoundTrip, LegacyV2PreservesEveryBitPattern) {
     const ArchSpec spec = random_arch(c.rng());
     Model a = build_arch(spec);
     randomize(a, c.rng());
-    ASSERT_TRUE(a.save_v2(path_).ok());
+    ASSERT_TRUE(testutil::save_v2(a, path_).ok());
 
     Model b = build_arch(spec);
     kaiming_init(b, 7);

@@ -343,27 +343,39 @@ TEST_F(ServeEngineTest, NullSessionFactoryThrows) {
 // The tentpole invariant end-to-end with a real model: batched execution
 // through the engine is bit-identical to sequential single-request
 // execution, regardless of worker count or how requests coalesced.
-TEST_F(ServeEngineTest, BatchedOdqServingIsBitIdenticalToSequential) {
-  auto make_model_session = [] {
-    nn::Model m("serve-test");
-    m.add<nn::Conv2d>(2, 4, 3, 1, 1);
-    m.add<nn::ReLU>();
-    m.add<nn::Conv2d>(4, 4, 3, 1, 1);
-    m.add<nn::ReLU>();
-    m.add<nn::GlobalAvgPool>();
-    m.add<nn::Flatten>();
-    m.add<nn::Linear>(4, 3);
-    nn::kaiming_init(m, 11);
-    core::OdqConfig cfg;
-    cfg.threshold = 0.15f;
-    return std::make_unique<ModelSession>(
-        std::move(m), make_conv_executor("odq", cfg), "odq");
-  };
+// A small conv net under `scheme`, optionally degrading to `degraded`.
+std::unique_ptr<ModelSession> model_session(
+    const std::string& scheme,
+    std::shared_ptr<InferenceSession> degraded = nullptr) {
+  nn::Model m("serve-test");
+  m.add<nn::Conv2d>(2, 4, 3, 1, 1);
+  m.add<nn::ReLU>();
+  m.add<nn::Conv2d>(4, 4, 3, 1, 1);
+  m.add<nn::ReLU>();
+  m.add<nn::GlobalAvgPool>();
+  m.add<nn::Flatten>();
+  m.add<nn::Linear>(4, 3);
+  nn::kaiming_init(m, 11);
+  core::OdqConfig cfg;
+  cfg.threshold = 0.15f;
+  return std::make_unique<ModelSession>(
+      std::move(m), make_conv_executor(scheme, cfg), scheme,
+      std::move(degraded));
+}
 
-  auto input_for = [](std::uint64_t i) {
-    util::Rng rng(testprop::case_seed(i));
-    return testprop::random_activations(rng, Shape{1, 2, 8, 8});
-  };
+Tensor input_for(std::uint64_t i) {
+  util::Rng rng(testprop::case_seed(i));
+  return testprop::random_activations(rng, Shape{1, 2, 8, 8});
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST_F(ServeEngineTest, BatchedOdqServingIsBitIdenticalToSequential) {
+  auto make_model_session = [] { return model_session("odq"); };
 
   constexpr int kRequests = 32;
   EngineConfig cfg;
@@ -393,6 +405,72 @@ TEST_F(ServeEngineTest, BatchedOdqServingIsBitIdenticalToSequential) {
         << "request " << i << " diverged (batch_size " << res.batch_size
         << ", worker " << res.worker_id << ")";
   }
+}
+
+// One session returned for every worker: the workers run its model
+// concurrently, and each output equals a fresh session's sequential run.
+TEST_F(ServeEngineTest, OneSessionSharedByFourWorkersMatchesSequential) {
+  constexpr int kRequests = 48;
+  const std::shared_ptr<InferenceSession> shared = model_session("odq");
+  EngineConfig cfg;
+  cfg.num_workers = 4;
+  cfg.max_batch = 4;
+  ServeEngine engine(cfg, [&](int) { return shared; });
+  std::vector<std::future<InferResponse>> futs(kRequests);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = c; i < kRequests; i += 4) {
+        futs[static_cast<std::size_t>(i)] =
+            std::move(engine.submit(input_for(static_cast<std::uint64_t>(i)))
+                          .value());
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  engine.shutdown();
+
+  auto sequential = model_session("odq");
+  for (int i = 0; i < kRequests; ++i) {
+    InferResponse res = futs[static_cast<std::size_t>(i)].get();
+    ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+    EXPECT_TRUE(bitwise_equal(
+        sequential->run(input_for(static_cast<std::uint64_t>(i))), res.output))
+        << "request " << i << " (worker " << res.worker_id << ")";
+  }
+}
+
+// run and run_degraded on one shared session, from several threads at once:
+// each returns its own scheme's output, bitwise.
+TEST(ModelSessionTest, ConcurrentRunAndRunDegradedKeepTheirSchemes) {
+  constexpr int kInputs = 8;
+  const auto session = model_session("odq", model_session("static_int8"));
+  EXPECT_EQ(session->degraded_scheme(), "static_int8");
+  auto primary = model_session("odq");
+  auto degraded = model_session("static_int8");
+  std::vector<Tensor> want_primary, want_degraded;
+  for (int i = 0; i < kInputs; ++i) {
+    want_primary.push_back(primary->run(input_for(i)));
+    want_degraded.push_back(degraded->run(input_for(i)));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < 2 * kInputs; ++k) {
+        const int i = (t + k) % kInputs;
+        const bool degrade = (t + k) % 2 == 0;
+        const Tensor out = degrade ? session->run_degraded(input_for(i))
+                                   : session->run(input_for(i));
+        if (!bitwise_equal(out, degrade ? want_degraded[i] : want_primary[i])) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
