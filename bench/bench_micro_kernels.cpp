@@ -1,10 +1,12 @@
 // google-benchmark micro kernels: the primitive operations whose relative
 // costs drive the accelerator model — float conv, integer conv, bit-split,
-// ODQ predictor-only, full ODQ, DRQ mixed conv, quantization.
+// ODQ predictor-only, full ODQ, DRQ mixed conv, quantization, and the float
+// GEMM products of a conv's forward and backward.
 #include <benchmark/benchmark.h>
 
 #include "core/odq.hpp"
 #include "drq/drq.hpp"
+#include "gemm/sgemm.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
@@ -122,16 +124,66 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col);
 
-void BM_Matmul(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  Tensor a = random_weights(Shape{n, n}, 14);
-  Tensor b = random_weights(Shape{n, n}, 15);
+// The three float GEMMs of a ResNet-20 (width 8) 3x3 conv at batch 8;
+// range(0) is the stage: 8/16/32 channels at 32/16/8 pixels square.
+struct ConvGemm {
+  std::int64_t n = 8, c, ckk, ohw;
+  explicit ConvGemm(std::int64_t stage)
+      : c(8 << stage), ckk(c * 9), ohw((32 >> stage) * (32 >> stage)) {}
+  std::int64_t macs() const { return n * c * ckk * ohw; }
+};
+
+// Forward: out(b) = W · cols(b).
+void BM_GemmConvForward(benchmark::State& state) {
+  const ConvGemm g(state.range(0));
+  Tensor w = random_weights(Shape{g.c, g.ckk}, 14);
+  Tensor cols = random_acts(Shape{g.n, g.ckk, g.ohw}, 15);
+  Tensor out(Shape{g.n, g.c, g.ohw});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::matmul(a, b));
+    gemm::sgemm({.m = g.c, .n = g.ohw, .k = g.ckk,
+                 .a = {w.data(), g.ckk, 1}, .b = {cols.data(), g.ohw, 1},
+                 .c = out.data(), .ldc = g.ohw, .batches = g.n,
+                 .b_batch = g.ckk * g.ohw, .c_batch = g.c * g.ohw});
+    benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * g.macs());
 }
-BENCHMARK(BM_Matmul)->Arg(64)->Arg(128);
+BENCHMARK(BM_GemmConvForward)->DenseRange(0, 2);
+
+// Weight gradient: dW = sum_b gradOut(b) · cols(b)^T, reduced over the batch.
+void BM_GemmConvWeightGrad(benchmark::State& state) {
+  const ConvGemm g(state.range(0));
+  Tensor go = random_weights(Shape{g.n, g.c, g.ohw}, 16);
+  Tensor cols = random_acts(Shape{g.n, g.ckk, g.ohw}, 17);
+  Tensor dw(Shape{g.c, g.ckk});
+  for (auto _ : state) {
+    gemm::sgemm({.m = g.c, .n = g.ckk, .k = g.ohw,
+                 .a = {go.data(), g.ohw, 1}, .b = {cols.data(), 1, g.ohw},
+                 .c = dw.data(), .ldc = g.ckk, .batches = g.n,
+                 .a_batch = g.c * g.ohw, .b_batch = g.ckk * g.ohw,
+                 .reduce = true});
+    benchmark::DoNotOptimize(dw.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.macs());
+}
+BENCHMARK(BM_GemmConvWeightGrad)->DenseRange(0, 2);
+
+// Input gradient: dcols(b) = W^T · gradOut(b).
+void BM_GemmConvInputGrad(benchmark::State& state) {
+  const ConvGemm g(state.range(0));
+  Tensor w = random_weights(Shape{g.c, g.ckk}, 18);
+  Tensor go = random_weights(Shape{g.n, g.c, g.ohw}, 19);
+  Tensor dcols(Shape{g.n, g.ckk, g.ohw});
+  for (auto _ : state) {
+    gemm::sgemm({.m = g.ckk, .n = g.ohw, .k = g.c,
+                 .a = {w.data(), 1, g.ckk}, .b = {go.data(), g.ohw, 1},
+                 .c = dcols.data(), .ldc = g.ohw, .batches = g.n,
+                 .b_batch = g.c * g.ohw, .c_batch = g.ckk * g.ohw});
+    benchmark::DoNotOptimize(dcols.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.macs());
+}
+BENCHMARK(BM_GemmConvInputGrad)->DenseRange(0, 2);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "gemm/gemm.hpp"
 
+#include "gemm/sgemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace odq::gemm {
@@ -15,40 +16,6 @@ TensorI32 gemm_conv_i8(const PackedIm2col& cols, const PackedWeights& wts,
   return out;
 }
 
-void gemm_conv_f32(const PackedIm2colF& cols, const PackedWeightsF& wts,
-                   const Tensor& bias, Tensor& out) {
-  detail::check_operands(cols.k, cols.k_padded, wts.k, wts.k_padded);
-  const std::int64_t rows = cols.rows;
-  const std::int64_t kp = cols.k_padded;
-  const std::int64_t oc = wts.oc;
-  if (out.numel() != cols.batches * oc * rows) {
-    throw std::invalid_argument("gemm_conv_f32: bad output shape");
-  }
-  const float* bp = bias.empty() ? nullptr : bias.data();
-  float* dst = out.data();
-  // Same (batch, out-channel) tiling as conv2d_direct; each tile owns one
-  // output plane. The single sequential accumulator per output keeps float
-  // results bit-identical to the direct oracle at any pool size.
-  util::parallel_for(
-      cols.batches * oc,
-      [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          const std::int64_t b = t / oc;
-          const std::int64_t f = t % oc;
-          const float bv = bp != nullptr ? bp[f] : 0.0f;
-          const float* wrow = wts.row(f);
-          float* orow = dst + t * rows;
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const float* a = cols.row(b, r);
-            float acc = bv;
-            for (std::int64_t p = 0; p < kp; ++p) acc += a[p] * wrow[p];
-            orow[r] = acc;
-          }
-        }
-      },
-      /*grain=*/1);
-}
-
 Tensor conv2d_f32(const Tensor& input, const Tensor& weight,
                   const Tensor& bias, std::int64_t stride, std::int64_t pad) {
   const Shape& is = input.shape();
@@ -60,10 +27,17 @@ Tensor conv2d_f32(const Tensor& input, const Tensor& weight,
   if (is[1] != ws[1]) {
     throw std::invalid_argument("gemm::conv2d_f32: channel mismatch");
   }
-  PackedIm2colF cols = pack_im2col_f32(input, ws[2], ws[3], stride, pad);
-  PackedWeightsF wts = pack_weights_f32(weight);
-  Tensor out(Shape{cols.batches, wts.oc, cols.oh, cols.ow});
-  gemm_conv_f32(cols, wts, bias, out);
+  const Tensor cols = tensor::im2col(input, ws[2], ws[3], stride, pad);
+  const std::int64_t n = is[0], oc = ws[0];
+  const std::int64_t ckk = cols.shape()[1], ohw = cols.shape()[2];
+  Tensor out(Shape{n, oc, tensor::conv_out_dim(is[2], ws[2], stride, pad),
+                   tensor::conv_out_dim(is[3], ws[3], stride, pad)});
+  sgemm({.m = oc, .n = ohw, .k = ckk,
+         .a = {weight.data(), ckk, 1},
+         .b = {cols.data(), ohw, 1},
+         .c = out.data(), .ldc = ohw,
+         .c0 = bias.empty() ? MatRef{} : MatRef{bias.data(), 1, 0},
+         .batches = n, .b_batch = ckk * ohw, .c_batch = oc * ohw});
   return out;
 }
 

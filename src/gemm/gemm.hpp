@@ -8,10 +8,11 @@
 // addition is associative, so any tiling/unroll order is bit-identical to
 // the direct-conv oracle at any thread count.
 //
-// The float kernel is deliberately NOT register-blocked over K: it seeds the
-// accumulator with the bias and adds products in packed-row order with a
-// single running sum — exactly the order tensor::conv2d_direct uses — so the
-// DRQ and static fake-quantized baselines stay bit-identical to the retained
+// The float conv (conv2d_f32) is im2col plus the register-blocked float
+// GEMM (gemm/sgemm.hpp). That GEMM blocks over outputs, never over K: each
+// output starts at its bias and adds its products in im2col order, one
+// running sum, which is the order tensor::conv2d_direct uses. So the DRQ and
+// static fake-quantized baselines stay bit-identical to the retained
 // direct-conv oracle (zero-padded taps contribute exact ±0.0 terms).
 #pragma once
 
@@ -99,15 +100,11 @@ void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
 tensor::TensorI32 gemm_conv_i8(const PackedIm2col& cols,
                                const PackedWeights& wts, int shift = 0);
 
-// Float GEMM, bit-identical to tensor::conv2d_direct: per output, one
-// accumulator seeded with the bias, products added in im2col order.
-// `out` must be preshaped [N, OC, OH, OW].
-void gemm_conv_f32(const PackedIm2colF& cols, const PackedWeightsF& wts,
-                   const tensor::Tensor& bias, tensor::Tensor& out);
-
-// Pack + float GEMM in one call: drop-in for tensor::conv2d_direct on the
-// DRQ / static fake-quantized hot paths (the direct path remains the test
-// oracle). input [N,C,H,W], weight [O,C,KH,KW], bias [O] (may be empty).
+// im2col + float GEMM with C0 = bias, bit-identical to tensor::conv2d_direct:
+// per output, one accumulator seeded with the bias, products added in im2col
+// order. Drop-in for conv2d_direct on the DRQ / static fake-quantized hot
+// paths (the direct path remains the test oracle). input [N,C,H,W], weight
+// [O,C,KH,KW], bias [O] (may be empty).
 tensor::Tensor conv2d_f32(const tensor::Tensor& input,
                           const tensor::Tensor& weight,
                           const tensor::Tensor& bias, std::int64_t stride,

@@ -11,7 +11,6 @@
 namespace odq::gemm {
 
 using tensor::Shape;
-using tensor::Tensor;
 using tensor::TensorI8;
 
 namespace {
@@ -178,16 +177,6 @@ PackedSplitIm2col pack_im2col_split(const TensorI8& input, int low_bits,
   return out;
 }
 
-PackedIm2colF pack_im2col_f32(const Tensor& input, std::int64_t kh,
-                              std::int64_t kw, std::int64_t stride,
-                              std::int64_t pad) {
-  const ConvGeometry g = check_geometry(input.shape(), kh, kw, stride, pad);
-  PackedIm2colF out;
-  init_packed(out, g);
-  walk_rows<float, 1>(g, {input.data()}, {out.data.data()});
-  return out;
-}
-
 namespace {
 
 template <typename T, typename Src, typename Emit>
@@ -231,12 +220,6 @@ PackedSplitWeights pack_weights_split(const TensorI8& weight, int low_bits) {
         row[p] = quant::low_part(v, low_bits);
       });
   return out;
-}
-
-PackedWeightsF pack_weights_f32(const Tensor& weight) {
-  return pack_weights_impl<float>(
-      weight.shape(), weight.data(),
-      [](float* row, std::int64_t p, float v) { row[p] = v; });
 }
 
 TensorI8 unpack_im2col_i8(const PackedIm2col& packed, std::int64_t c,

@@ -1,10 +1,11 @@
-// Packed im2col operands for the shared conv-GEMM core.
+// Packed im2col operands for the integer conv-GEMM core.
 //
-// Every quantized conv scheme in this library (ODQ predictor + result
-// generation, DRQ, static INT-N, and the FP32-surrogate executors) reduces
-// to the same computation: an im2col matrix [OH*OW, C*KH*KW] per batch
-// element multiplied against a filter panel [OC, C*KH*KW]. The structs here
-// hold both operands in one cache-blocked layout shared by all of them:
+// The integer conv schemes in this library (ODQ predictor + result
+// generation, INT-N codes) reduce to the same computation: an im2col matrix
+// [OH*OW, C*KH*KW] per batch element multiplied against a filter panel
+// [OC, C*KH*KW]. The structs here hold both operands in one cache-blocked
+// layout shared by all of them (float convs use tensor::im2col and the float
+// GEMM in gemm/sgemm.hpp instead):
 //
 //   * Rows are *output pixels* (receptive fields), stored contiguously —
 //     the transpose of the [CKK, OHW] matrix tensor::im2col produces.
@@ -15,7 +16,7 @@
 //   * The depth K = C*KH*KW is zero-padded to a multiple of kKTile so the
 //     microkernels never handle a remainder. Zero entries contribute
 //     nothing to any integer partial product, so padding is invisible to
-//     the accumulators (and to float sums, modulo the sign of zero).
+//     the accumulators.
 //   * ODQ operands are *digit-split at pack time*: one packed plane for the
 //     high-order digits (HBS) and one for the low-order digits (LBS) of
 //     each code (quant::high_part / low_part), produced in a single pass
@@ -75,7 +76,6 @@ struct PackedIm2colT {
 };
 
 using PackedIm2col = PackedIm2colT<std::int8_t>;
-using PackedIm2colF = PackedIm2colT<float>;
 
 // A packed filter panel: row f holds filter f's C*KH*KW taps in im2col
 // order, zero-padded to k_padded.
@@ -95,7 +95,6 @@ struct PackedWeightsT {
 };
 
 using PackedWeights = PackedWeightsT<std::int8_t>;
-using PackedWeightsF = PackedWeightsT<float>;
 
 // Digit-split operand pairs (ODQ). `high` and `low` share one geometry.
 struct PackedSplitIm2col {
@@ -124,16 +123,10 @@ PackedSplitIm2col pack_im2col_split(const tensor::TensorI8& input,
                                     std::int64_t kw, std::int64_t stride,
                                     std::int64_t pad);
 
-// Float activations (DRQ / static fake-quantized baselines / FP32).
-PackedIm2colF pack_im2col_f32(const tensor::Tensor& input, std::int64_t kh,
-                              std::int64_t kw, std::int64_t stride,
-                              std::int64_t pad);
-
 // Filter panels from OIHW weights.
 PackedWeights pack_weights_i8(const tensor::TensorI8& weight);
 PackedSplitWeights pack_weights_split(const tensor::TensorI8& weight,
                                       int low_bits);
-PackedWeightsF pack_weights_f32(const tensor::Tensor& weight);
 
 // --- Unpackers (round-trip validation) -----------------------------------
 

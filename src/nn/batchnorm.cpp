@@ -56,7 +56,14 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       var /= static_cast<double>(cached_n_);
       const float inv_std =
           1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_[ch] = inv_std;
+      // A channel that is constant over the batch (var == 0, as when a
+      // quantized conv filter's codes are all zero) normalizes to exactly 0
+      // whatever its input. Its input gradient would be
+      // gamma * (dy - mean dy) / sqrt(eps), a ~316x gain that measures eps,
+      // not the data, and under the straight-through estimator it lands on
+      // the filter's float weights. Backward passes such a channel no input
+      // gradient (docs/training.md, pitfall 6).
+      cached_inv_std_[ch] = var > 0.0 ? inv_std : 0.0f;
       running_mean_[ch] = (1.0f - momentum_) * running_mean_[ch] +
                           momentum_ * static_cast<float>(mean);
       running_var_[ch] = (1.0f - momentum_) * running_var_[ch] +

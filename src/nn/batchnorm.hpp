@@ -34,7 +34,7 @@ class BatchNorm2d : public Layer {
 
   // Backward caches (train mode).
   tensor::Tensor cached_xhat_;
-  tensor::Tensor cached_inv_std_;  // [C]
+  tensor::Tensor cached_inv_std_;  // [C]; 0 for a constant channel
   std::int64_t cached_n_ = 0;      // N*H*W per channel
 };
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "gemm/sgemm.hpp"
 #include "nn/epilogue.hpp"
 #include "tensor/ops.hpp"
 
@@ -9,19 +10,6 @@ namespace odq::nn {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-namespace {
-
-Tensor transpose2d(const Tensor& m) {
-  const std::int64_t r = m.shape()[0], c = m.shape()[1];
-  Tensor out(Shape{c, r});
-  for (std::int64_t i = 0; i < r; ++i) {
-    for (std::int64_t j = 0; j < c; ++j) out.at2(j, i) = m.at2(i, j);
-  }
-  return out;
-}
-
-}  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t k, std::int64_t stride, std::int64_t pad,
@@ -71,18 +59,16 @@ Tensor Conv2d::forward_fp32(const Tensor& x, bool train) {
 
   Tensor cols = tensor::im2col(x, k_, k_, stride_, pad_);
   const std::int64_t ckk = in_channels_ * k_ * k_;
-  Tensor w2d = weight_.value.reshaped(Shape{out_channels_, ckk});
+  const std::int64_t ohw = oh * ow;
 
+  // out(b) = W · cols(b) from +0, the batch folded into the GEMM's tiles.
   Tensor out(Shape{n, out_channels_, oh, ow});
-  for (std::int64_t b = 0; b < n; ++b) {
-    Tensor col_b(Shape{ckk, oh * ow},
-                 std::vector<float>(cols.data() + b * ckk * oh * ow,
-                                    cols.data() + (b + 1) * ckk * oh * ow));
-    Tensor prod(Shape{out_channels_, oh * ow});
-    tensor::matmul_into(w2d, col_b, prod, /*accumulate=*/false);
-    std::copy(prod.data(), prod.data() + prod.numel(),
-              out.data() + b * out_channels_ * oh * ow);
-  }
+  gemm::sgemm({.m = out_channels_, .n = ohw, .k = ckk,
+               .a = {weight_.value.data(), ckk, 1},
+               .b = {cols.data(), ohw, 1},
+               .c = out.data(), .ldc = ohw,
+               .batches = n, .b_batch = ckk * ohw,
+               .c_batch = out_channels_ * ohw});
   if (has_bias_) {
     // Shared conv epilogue (nn/epilogue.hpp): the bias-only case is the
     // exact `p[i] += bias[oc]` loop this file used to duplicate.
@@ -108,6 +94,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t h = x.shape()[2], w = x.shape()[3];
   const std::int64_t oh = grad_out.shape()[2], ow = grad_out.shape()[3];
   const std::int64_t ckk = in_channels_ * k_ * k_;
+  const std::int64_t ohw = oh * ow;
+  const std::int64_t oc = out_channels_;
 
   if (!have_cols_) {
     // STE path (executor forward): recompute the FP32 columns.
@@ -115,40 +103,32 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     have_cols_ = true;
   }
 
-  Tensor w2d = weight_.value.reshaped(Shape{out_channels_, ckk});
-  Tensor w2d_t = transpose2d(w2d);
-  Tensor dw2d(Shape{out_channels_, ckk});
-  Tensor dcols(Shape{n, ckk, oh * ow});
-
-  for (std::int64_t b = 0; b < n; ++b) {
-    Tensor go_b(Shape{out_channels_, oh * ow},
-                std::vector<float>(grad_out.data() + b * out_channels_ * oh * ow,
-                                   grad_out.data() +
-                                       (b + 1) * out_channels_ * oh * ow));
-    Tensor col_b(Shape{ckk, oh * ow},
-                 std::vector<float>(cached_cols_.data() + b * ckk * oh * ow,
-                                    cached_cols_.data() +
-                                        (b + 1) * ckk * oh * ow));
-    // dW += gradOut(b) * cols(b)^T
-    Tensor col_b_t = transpose2d(col_b);
-    tensor::matmul_into(go_b, col_b_t, dw2d, /*accumulate=*/true);
-    // dcols(b) = W^T * gradOut(b)
-    Tensor dcol_b(Shape{ckk, oh * ow});
-    tensor::matmul_into(w2d_t, go_b, dcol_b, /*accumulate=*/false);
-    std::copy(dcol_b.data(), dcol_b.data() + dcol_b.numel(),
-              dcols.data() + b * ckk * oh * ow);
-  }
+  // dW = sum_b gradOut(b) · cols(b)^T from +0, reduced over the batch in
+  // batch order inside each output tile; cols^T is read in place.
+  Tensor dw(Shape{oc, ckk});
+  gemm::sgemm({.m = oc, .n = ckk, .k = ohw,
+               .a = {grad_out.data(), ohw, 1},
+               .b = {cached_cols_.data(), 1, ohw},
+               .c = dw.data(), .ldc = ckk,
+               .batches = n, .a_batch = oc * ohw, .b_batch = ckk * ohw,
+               .reduce = true});
+  // dcols(b) = W^T · gradOut(b) from +0; W^T is read in place.
+  Tensor dcols(Shape{n, ckk, ohw});
+  gemm::sgemm({.m = ckk, .n = ohw, .k = oc,
+               .a = {weight_.value.data(), 1, ckk},
+               .b = {grad_out.data(), ohw, 1},
+               .c = dcols.data(), .ldc = ohw,
+               .batches = n, .b_batch = oc * ohw, .c_batch = ckk * ohw});
 
   // Accumulate parameter grads.
-  for (std::int64_t i = 0; i < dw2d.numel(); ++i) weight_.grad[i] += dw2d[i];
+  for (std::int64_t i = 0; i < dw.numel(); ++i) weight_.grad[i] += dw[i];
   if (has_bias_) {
     for (std::int64_t b = 0; b < n; ++b) {
-      for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
-        const float* p =
-            grad_out.data() + (b * out_channels_ + oc) * oh * ow;
+      for (std::int64_t f = 0; f < oc; ++f) {
+        const float* p = grad_out.data() + (b * oc + f) * ohw;
         float acc = 0.0f;
-        for (std::int64_t i = 0; i < oh * ow; ++i) acc += p[i];
-        bias_.grad[oc] += acc;
+        for (std::int64_t i = 0; i < ohw; ++i) acc += p[i];
+        bias_.grad[f] += acc;
       }
     }
   }

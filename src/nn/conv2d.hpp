@@ -1,5 +1,5 @@
-// 2-D convolution layer (NCHW x OIHW), im2col + matmul forward, exact
-// backward, and pluggable quantized executors.
+// 2-D convolution layer (NCHW x OIHW), im2col + float GEMM forward
+// (gemm/sgemm.hpp), exact backward, and pluggable quantized executors.
 #pragma once
 
 #include <memory>

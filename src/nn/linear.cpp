@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
+#include "gemm/sgemm.hpp"
 
 namespace odq::nn {
 
@@ -28,17 +28,14 @@ Tensor Linear::forward(const Tensor& x, bool train) {
                                 x.shape().str());
   }
   const std::int64_t n = x.shape()[0];
+  // out = bias + x · W^T: each output starts at its bias and adds its
+  // features in order. W^T is read in place.
   Tensor out(Shape{n, out_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* xi = x.data() + i * in_;
-    float* oi = out.data() + i * out_;
-    for (std::int64_t o = 0; o < out_; ++o) {
-      const float* wr = weight_.value.data() + o * in_;
-      float acc = bias_.value[o];
-      for (std::int64_t f = 0; f < in_; ++f) acc += xi[f] * wr[f];
-      oi[o] = acc;
-    }
-  }
+  gemm::sgemm({.m = n, .n = out_, .k = in_,
+               .a = {x.data(), in_, 1},
+               .b = {weight_.value.data(), 1, in_},
+               .c = out.data(), .ldc = out_,
+               .c0 = {bias_.value.data(), 0, 1}});
   if (train) cached_input_ = x;
   return out;
 }
@@ -49,21 +46,21 @@ Tensor Linear::backward(const Tensor& grad_out) {
   }
   const Tensor& x = cached_input_;
   const std::int64_t n = x.shape()[0];
+  const float* g = grad_out.data();
+  // dW += gradOut^T · x, the samples added in order onto the existing grad.
+  gemm::sgemm({.m = out_, .n = in_, .k = n,
+               .a = {g, 1, out_},
+               .b = {x.data(), in_, 1},
+               .c = weight_.grad.data(), .ldc = in_,
+               .c0 = {weight_.grad.data(), in_, 1}});
+  // dx = gradOut · W from +0.
   Tensor dx(x.shape());
+  gemm::sgemm({.m = n, .n = in_, .k = out_,
+               .a = {g, out_, 1},
+               .b = {weight_.value.data(), in_, 1},
+               .c = dx.data(), .ldc = in_});
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* gi = grad_out.data() + i * out_;
-    const float* xi = x.data() + i * in_;
-    float* dxi = dx.data() + i * in_;
-    for (std::int64_t o = 0; o < out_; ++o) {
-      const float g = gi[o];
-      bias_.grad[o] += g;
-      float* wg = weight_.grad.data() + o * in_;
-      const float* wr = weight_.value.data() + o * in_;
-      for (std::int64_t f = 0; f < in_; ++f) {
-        wg[f] += g * xi[f];
-        dxi[f] += g * wr[f];
-      }
-    }
+    for (std::int64_t o = 0; o < out_; ++o) bias_.grad[o] += g[i * out_ + o];
   }
   return dx;
 }

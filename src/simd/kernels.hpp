@@ -1,5 +1,5 @@
 // Bit-exact SIMD kernels for the packed conv-GEMM core: three integer dot
-// products and the activation quantizer.
+// products, the activation quantizer, and the float GEMM tile.
 //
 // Every dot kernel here computes an *integer* sum whose value is independent
 // of accumulation order, and the quantizer is elementwise and built from
@@ -7,6 +7,19 @@
 // backend, and the NEON backend are interchangeable bit-for-bit — the
 // `simd`-labelled differential suite (tests/simd/) sweeps every lane-boundary
 // shape across all available backends and asserts exactly that.
+//
+// The float GEMM tile is bit-exact for a different reason: it fixes the
+// order. Each output owns one accumulator and adds its terms one at a time,
+// k = 0, 1, ..., each term a rounded multiply followed by a rounded add.
+// Vector backends spread *outputs* across lanes, never one output's terms,
+// so every backend rounds the same operations in the same order.
+//
+// Contraction rule: no float expression in the library may be fused into an
+// FMA. A fused a*b+c rounds once where the scalar reference rounds twice, so
+// it would change bits by backend and by compiler flags. The library builds
+// with -ffp-contract=off (src/CMakeLists.txt), and the vector kernels spell
+// out a multiply then an add (_mm256_mul_ps + _mm256_add_ps), never an FMA
+// intrinsic.
 //
 // Contract shared by the three dot entry points:
 //   * `kp` is the padded depth of a packed row (gemm/packed.hpp): a multiple
@@ -75,6 +88,17 @@ using DotI8SplitFn = void (*)(const std::int8_t* ah, const std::int8_t* al,
 using QuantizeActFn = void (*)(const float* x, std::int64_t n, float scale,
                                float qmax, std::int8_t* q);
 
+// Float GEMM register tile: kGemmMr rows x kGemmNr columns of C.
+inline constexpr std::int64_t kGemmMr = 4;
+inline constexpr std::int64_t kGemmNr = 16;
+
+// One tile of C += A·B over kc terms, from packed panels:
+//   a[k * kGemmMr + r] is A(r, k), b[k * kGemmNr + j] is B(k, j), and
+//   c[r * ldc + j] is C(r, j), read once and written once.
+// Per output: acc = c; for k = 0..kc-1: acc = acc + a * b (mul, then add).
+using GemmF32TileFn = void (*)(std::int64_t kc, const float* a,
+                               const float* b, float* c, std::int64_t ldc);
+
 // One backend's kernel table.
 struct Kernels {
   const char* name;
@@ -82,10 +106,15 @@ struct Kernels {
   DotI8Acc64Fn dot_i8_acc64;
   DotI8SplitFn dot_i8_split;
   QuantizeActFn quantize_act;
+  GemmF32TileFn gemm_f32_tile;
 };
 
 // The always-available scalar reference (kernels_scalar.cpp).
 const Kernels& scalar_kernels();
+
+// The scalar GEMM tile, also the NEON table's entry (kernels_neon.cpp).
+void gemm_f32_tile_scalar(std::int64_t kc, const float* a, const float* b,
+                          float* c, std::int64_t ldc);
 
 // Vector backends. Each returns nullptr when its TU was not built with the
 // matching ISA (kernels_avx2.cpp is the only TU compiled with -mavx2, so a

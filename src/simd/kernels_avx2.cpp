@@ -1,4 +1,5 @@
-// AVX2 backend: widen-accumulate integer dot products over packed rows.
+// AVX2 backend: widen-accumulate integer dot products over packed rows, the
+// activation quantizer, and the float GEMM tile.
 //
 // This is the only TU in the library compiled with -mavx2 (per-source flag
 // in src/CMakeLists.txt), so the rest of the binary stays plain x86-64 and
@@ -138,8 +139,53 @@ void quantize_act_avx2(const float* x, std::int64_t n, float scale,
   }
 }
 
+// 4 x 16 float GEMM tile: per k, two 8-float loads of the B row, one
+// broadcast per A row, and for each of the 8 accumulators a multiply then an
+// add — never an FMA, which would round once instead of twice
+// (kernels.hpp). Lanes hold different outputs, so each output's terms are
+// added in k order exactly as in the scalar tile.
+void gemm_f32_tile_avx2(std::int64_t kc, const float* a, const float* b,
+                        float* c, std::int64_t ldc) {
+  static_assert(kGemmMr == 4 && kGemmNr == 16, "tile shape");
+  float* c0 = c;
+  float* c1 = c + ldc;
+  float* c2 = c + 2 * ldc;
+  float* c3 = c + 3 * ldc;
+  __m256 acc00 = _mm256_loadu_ps(c0), acc01 = _mm256_loadu_ps(c0 + 8);
+  __m256 acc10 = _mm256_loadu_ps(c1), acc11 = _mm256_loadu_ps(c1 + 8);
+  __m256 acc20 = _mm256_loadu_ps(c2), acc21 = _mm256_loadu_ps(c2 + 8);
+  __m256 acc30 = _mm256_loadu_ps(c3), acc31 = _mm256_loadu_ps(c3 + 8);
+  for (std::int64_t k = 0; k < kc; ++k) {
+    const __m256 b0 = _mm256_loadu_ps(b);
+    const __m256 b1 = _mm256_loadu_ps(b + 8);
+    __m256 ar = _mm256_broadcast_ss(a);
+    acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(ar, b0));
+    acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(ar, b1));
+    ar = _mm256_broadcast_ss(a + 1);
+    acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(ar, b0));
+    acc11 = _mm256_add_ps(acc11, _mm256_mul_ps(ar, b1));
+    ar = _mm256_broadcast_ss(a + 2);
+    acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(ar, b0));
+    acc21 = _mm256_add_ps(acc21, _mm256_mul_ps(ar, b1));
+    ar = _mm256_broadcast_ss(a + 3);
+    acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(ar, b0));
+    acc31 = _mm256_add_ps(acc31, _mm256_mul_ps(ar, b1));
+    a += kGemmMr;
+    b += kGemmNr;
+  }
+  _mm256_storeu_ps(c0, acc00);
+  _mm256_storeu_ps(c0 + 8, acc01);
+  _mm256_storeu_ps(c1, acc10);
+  _mm256_storeu_ps(c1 + 8, acc11);
+  _mm256_storeu_ps(c2, acc20);
+  _mm256_storeu_ps(c2 + 8, acc21);
+  _mm256_storeu_ps(c3, acc30);
+  _mm256_storeu_ps(c3 + 8, acc31);
+}
+
 constexpr Kernels kAvx2Kernels = {"avx2", dot_i8_avx2, dot_i8_acc64_avx2,
-                                  dot_i8_split_avx2, quantize_act_avx2};
+                                  dot_i8_split_avx2, quantize_act_avx2,
+                                  gemm_f32_tile_avx2};
 
 }  // namespace
 

@@ -104,8 +104,12 @@ void quantize_act_neon(const float* x, std::int64_t n, float scale,
   }
 }
 
+// The float GEMM tile is the scalar one: its order is fixed per output, so a
+// NEON tile would change speed, not bits. This table has not been built or
+// run on AArch64 yet; treat the NEON path as unverified.
 constexpr Kernels kNeonKernels = {"neon", dot_i8_neon, dot_i8_acc64_neon,
-                                  dot_i8_split_neon, quantize_act_neon};
+                                  dot_i8_split_neon, quantize_act_neon,
+                                  gemm_f32_tile_scalar};
 
 }  // namespace
 

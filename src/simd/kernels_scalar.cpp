@@ -3,7 +3,9 @@
 //
 // The 4-wide unroll mirrors the original gemm_conv_int inner loop (kp is a
 // multiple of kKTile = 16, so there is never a tail); integer sums
-// reassociate freely, so the unroll order is irrelevant to the result.
+// reassociate freely, so the unroll order is irrelevant to the result. The
+// float GEMM tile is the one loop whose order matters: k outermost, one
+// accumulator per output (kernels.hpp).
 #include <cmath>
 
 #include "simd/kernels.hpp"
@@ -63,9 +65,29 @@ void quantize_act_scalar(const float* x, std::int64_t n, float scale,
 
 constexpr Kernels kScalarKernels = {"scalar", dot_i8_scalar,
                                     dot_i8_acc64_scalar, dot_i8_split_scalar,
-                                    quantize_act_scalar};
+                                    quantize_act_scalar, gemm_f32_tile_scalar};
 
 }  // namespace
+
+void gemm_f32_tile_scalar(std::int64_t kc, const float* a, const float* b,
+                          float* c, std::int64_t ldc) {
+  float acc[kGemmMr][kGemmNr];
+  for (std::int64_t r = 0; r < kGemmMr; ++r) {
+    for (std::int64_t j = 0; j < kGemmNr; ++j) acc[r][j] = c[r * ldc + j];
+  }
+  for (std::int64_t k = 0; k < kc; ++k) {
+    const float* bk = b + k * kGemmNr;
+    for (std::int64_t r = 0; r < kGemmMr; ++r) {
+      const float ar = a[k * kGemmMr + r];
+      for (std::int64_t j = 0; j < kGemmNr; ++j) {
+        acc[r][j] = acc[r][j] + ar * bk[j];
+      }
+    }
+  }
+  for (std::int64_t r = 0; r < kGemmMr; ++r) {
+    for (std::int64_t j = 0; j < kGemmNr; ++j) c[r * ldc + j] = acc[r][j];
+  }
+}
 
 const Kernels& scalar_kernels() { return kScalarKernels; }
 

@@ -8,58 +8,6 @@
 
 namespace odq::tensor {
 
-namespace {
-
-void check_matmul_shapes(const Tensor& a, const Tensor& b) {
-  if (a.shape().rank() != 2 || b.shape().rank() != 2) {
-    throw std::invalid_argument("matmul: tensors must be rank-2");
-  }
-  if (a.shape()[1] != b.shape()[0]) {
-    throw std::invalid_argument("matmul: inner dimensions mismatch " +
-                                a.shape().str() + " x " + b.shape().str());
-  }
-}
-
-}  // namespace
-
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
-                 bool accumulate) {
-  check_matmul_shapes(a, b);
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  const std::int64_t n = b.shape()[1];
-  if (out.shape() != Shape{m, n}) {
-    throw std::invalid_argument("matmul_into: bad output shape");
-  }
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-
-  util::parallel_for(
-      m,
-      [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t i = r0; i < r1; ++i) {
-          float* crow = pc + i * n;
-          if (!accumulate) std::fill(crow, crow + n, 0.0f);
-          const float* arow = pa + i * k;
-          for (std::int64_t p = 0; p < k; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f) continue;
-            const float* brow = pb + p * n;
-            for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      },
-      /*grain=*/8);
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  check_matmul_shapes(a, b);
-  Tensor out(Shape{a.shape()[0], b.shape()[1]});
-  matmul_into(a, b, out, /*accumulate=*/false);
-  return out;
-}
-
 Tensor im2col(const Tensor& input, std::int64_t kh, std::int64_t kw,
               std::int64_t stride, std::int64_t pad) {
   const Shape& s = input.shape();
@@ -74,28 +22,34 @@ Tensor im2col(const Tensor& input, std::int64_t kh, std::int64_t kw,
   float* dst = cols.data();
   const std::int64_t col_stride = oh * ow;
 
-  for (std::int64_t b = 0; b < n; ++b) {
-    const float* img = input.data() + b * c * h * w;
-    float* batch_dst = dst + b * c * kh * kw * col_stride;
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      for (std::int64_t ki = 0; ki < kh; ++ki) {
-        for (std::int64_t kj = 0; kj < kw; ++kj) {
-          float* row =
-              batch_dst + ((ch * kh + ki) * kw + kj) * col_stride;
-          std::int64_t idx = 0;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            const std::int64_t iy = oy * stride - pad + ki;
-            for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
-              const std::int64_t ix = ox * stride - pad + kj;
-              row[idx] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                             ? img[(ch * h + iy) * w + ix]
-                             : 0.0f;
+  // One (batch, channel) plane per task: it writes that channel's kh*kw
+  // rows of its batch element and nothing else.
+  util::parallel_for(
+      n * c,
+      [&](std::int64_t t0, std::int64_t t1) {
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const std::int64_t b = t / c;
+          const std::int64_t ch = t % c;
+          const float* img = input.data() + (b * c + ch) * h * w;
+          float* ch_dst = dst + (b * c + ch) * kh * kw * col_stride;
+          for (std::int64_t ki = 0; ki < kh; ++ki) {
+            for (std::int64_t kj = 0; kj < kw; ++kj) {
+              float* row = ch_dst + (ki * kw + kj) * col_stride;
+              std::int64_t idx = 0;
+              for (std::int64_t oy = 0; oy < oh; ++oy) {
+                const std::int64_t iy = oy * stride - pad + ki;
+                for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
+                  const std::int64_t ix = ox * stride - pad + kj;
+                  row[idx] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                                 ? img[iy * w + ix]
+                                 : 0.0f;
+                }
+              }
             }
           }
         }
-      }
-    }
-  }
+      },
+      /*grain=*/1);
   return cols;
 }
 
@@ -113,28 +67,33 @@ Tensor col2im(const Tensor& cols, std::int64_t channels, std::int64_t height,
   Tensor img(Shape{n, channels, height, width});
   const std::int64_t col_stride = oh * ow;
 
-  for (std::int64_t b = 0; b < n; ++b) {
-    const float* batch_src = cols.data() + b * channels * kh * kw * col_stride;
-    float* out = img.data() + b * channels * height * width;
-    for (std::int64_t ch = 0; ch < channels; ++ch) {
-      for (std::int64_t ki = 0; ki < kh; ++ki) {
-        for (std::int64_t kj = 0; kj < kw; ++kj) {
-          const float* row =
-              batch_src + ((ch * kh + ki) * kw + kj) * col_stride;
-          std::int64_t idx = 0;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            const std::int64_t iy = oy * stride - pad + ki;
-            for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
-              const std::int64_t ix = ox * stride - pad + kj;
-              if (iy >= 0 && iy < height && ix >= 0 && ix < width) {
-                out[(ch * height + iy) * width + ix] += row[idx];
+  // One (batch, channel) plane per task: it sums only that channel's rows,
+  // in the same (ki, kj, oy, ox) order as a serial pass, so every pixel's
+  // sum is the same at any pool size.
+  util::parallel_for(
+      n * channels,
+      [&](std::int64_t t0, std::int64_t t1) {
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const float* ch_src = cols.data() + t * kh * kw * col_stride;
+          float* out = img.data() + t * height * width;
+          for (std::int64_t ki = 0; ki < kh; ++ki) {
+            for (std::int64_t kj = 0; kj < kw; ++kj) {
+              const float* row = ch_src + (ki * kw + kj) * col_stride;
+              std::int64_t idx = 0;
+              for (std::int64_t oy = 0; oy < oh; ++oy) {
+                const std::int64_t iy = oy * stride - pad + ki;
+                for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
+                  const std::int64_t ix = ox * stride - pad + kj;
+                  if (iy >= 0 && iy < height && ix >= 0 && ix < width) {
+                    out[iy * width + ix] += row[idx];
+                  }
+                }
               }
             }
           }
         }
-      }
-    }
-  }
+      },
+      /*grain=*/1);
   return img;
 }
 

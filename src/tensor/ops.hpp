@@ -1,8 +1,10 @@
-// Dense float kernels shared by the NN substrate: matmul, im2col, direct
-// convolution (reference), pooling, elementwise ops and reductions.
+// Dense float kernels shared by the NN substrate: im2col/col2im, direct
+// convolution (reference), pooling, elementwise ops and reductions. Float
+// matrix products live in gemm/sgemm.hpp.
 //
-// All kernels are deterministic; matmul parallelizes over rows via
-// util::parallel_for.
+// All kernels are deterministic; im2col, col2im and the direct conv run in
+// parallel over disjoint (batch, channel) planes via util::parallel_for, so
+// their results do not depend on the pool size.
 #pragma once
 
 #include <cstdint>
@@ -10,13 +12,6 @@
 #include "tensor/tensor.hpp"
 
 namespace odq::tensor {
-
-// C[m,n] = A[m,k] * B[k,n]. Shapes must match exactly.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-// C += A * B into a preallocated output (no allocation on the hot path).
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
-                 bool accumulate = false);
 
 // im2col for NCHW input, OIHW kernels.
 //

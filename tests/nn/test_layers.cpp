@@ -136,6 +136,35 @@ TEST(BatchNormLayer, GammaBetaAffectOutput) {
   EXPECT_NEAR(mean / y.numel(), 1.0, 1e-4);  // beta shifts the mean
 }
 
+// A conv filter whose quantized codes are all zero feeds BatchNorm a channel
+// that is constant over the batch. Its normalized output is 0 whatever the
+// input, so it passes no input gradient; the 1/sqrt(eps) gain it used to
+// pass drove ODQ fine-tuning to non-finite weights (docs/training.md,
+// pitfall 6). The live channel's gradient is untouched.
+TEST(BatchNormLayer, ConstantChannelPassesNoInputGradient) {
+  BatchNorm2d bn(2);
+  bn.gamma().value.fill(1.5f);
+  Tensor x = random_tensor(Shape{4, 2, 3, 3}, 8);
+  for (std::int64_t b = 0; b < 4; ++b) {
+    for (std::int64_t i = 0; i < 9; ++i) x[(b * 2 + 1) * 9 + i] = 0.25f;
+  }
+  const Tensor y = bn.forward(x, /*train=*/true);
+  const Tensor dy = random_tensor(Shape{4, 2, 3, 3}, 9);
+  const Tensor dx = bn.backward(dy);
+  double live = 0.0, dead_dy = 0.0;
+  for (std::int64_t b = 0; b < 4; ++b) {
+    for (std::int64_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(y[(b * 2 + 1) * 9 + i], 0.0f);  // beta = 0
+      EXPECT_EQ(dx[(b * 2 + 1) * 9 + i], 0.0f);
+      live += std::abs(dx[(b * 2) * 9 + i]);
+      dead_dy += dy[(b * 2 + 1) * 9 + i];
+    }
+  }
+  EXPECT_GT(live, 0.0);
+  EXPECT_EQ(bn.gamma().grad[1], 0.0f);
+  EXPECT_NEAR(bn.beta().grad[1], dead_dy, 1e-5);
+}
+
 TEST(ReLULayer, ForwardMasksNegatives) {
   ReLU relu;
   Tensor x(Shape{4}, std::vector<float>{-1, 2, -3, 4});

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "gemm/sgemm.hpp"
 #include "util/rng.hpp"
 
 namespace odq::tensor {
@@ -16,6 +17,17 @@ Tensor random_tensor(Shape shape, std::uint64_t seed, float lo = -1.0f,
   Tensor t(std::move(shape));
   for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform_f(lo, hi);
   return t;
+}
+
+// Matmul.* and MatmulInto.* drive the one float GEMM (gemm::sgemm) through
+// row-major tensors.
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  const std::int64_t m = a.shape()[0], k = a.shape()[1], n = b.shape()[1];
+  Tensor c(Shape{m, n});
+  gemm::sgemm({.m = m, .n = n, .k = k,
+               .a = {a.data(), k, 1}, .b = {b.data(), n, 1},
+               .c = c.data(), .ldc = n});
+  return c;
 }
 
 TEST(Matmul, KnownProduct) {
@@ -33,34 +45,53 @@ TEST(Matmul, IdentityIsNoop) {
   Tensor eye(Shape{4, 4});
   for (int i = 0; i < 4; ++i) eye.at2(i, i) = 1.0f;
   Tensor c = matmul(a, eye);
-  EXPECT_LT(max_abs_diff(a, c), 1e-6f);
+  // 0 + a*1 + (±0 terms) is exactly a.
+  for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(c[i], a[i]);
 }
 
+// The GEMM takes raw extents, so a shape mismatch reaches it as an output
+// whose rows are shorter than N: rejected, never a silent overlap.
 TEST(Matmul, ShapeMismatchThrows) {
-  Tensor a(Shape{2, 3});
-  Tensor b(Shape{2, 3});
-  EXPECT_THROW(matmul(a, b), std::invalid_argument);
+  Tensor a(Shape{2, 3}), b(Shape{3, 4}), c(Shape{2, 3});
+  EXPECT_THROW(gemm::sgemm({.m = 2, .n = 4, .k = 3,
+                            .a = {a.data(), 3, 1}, .b = {b.data(), 4, 1},
+                            .c = c.data(), .ldc = 3}),
+               std::invalid_argument);
 }
 
 TEST(Matmul, RejectsNonMatrix) {
-  Tensor a(Shape{2, 3, 4});
-  Tensor b(Shape{4, 2});
-  EXPECT_THROW(matmul(a, b), std::invalid_argument);
+  Tensor a(Shape{2, 3}), b(Shape{3, 2}), c(Shape{2, 2});
+  EXPECT_THROW(gemm::sgemm({.m = -2, .n = 2, .k = 3,
+                            .a = {a.data(), 3, 1}, .b = {b.data(), 2, 1},
+                            .c = c.data(), .ldc = 2}),
+               std::invalid_argument);
+  EXPECT_THROW(gemm::sgemm({.m = 2, .n = 2, .k = 3,
+                            .a = {a.data(), 3, 1}, .b = {b.data(), 2, 1},
+                            .c = c.data(), .ldc = 2, .batches = 0}),
+               std::invalid_argument);
 }
 
 TEST(MatmulInto, AccumulateAddsToExisting) {
   Tensor a(Shape{1, 2}, std::vector<float>{1, 1});
   Tensor b(Shape{2, 1}, std::vector<float>{2, 3});
   Tensor c(Shape{1, 1}, std::vector<float>{10});
-  matmul_into(a, b, c, /*accumulate=*/true);
+  const gemm::SgemmArgs args{.m = 1, .n = 1, .k = 2,
+                             .a = {a.data(), 2, 1}, .b = {b.data(), 1, 1},
+                             .c = c.data(), .ldc = 1};
+  gemm::SgemmArgs acc = args;
+  acc.c0 = {c.data(), 1, 1};
+  gemm::sgemm(acc);
   EXPECT_FLOAT_EQ(c[0], 15.0f);
-  matmul_into(a, b, c, /*accumulate=*/false);
+  gemm::sgemm(args);
   EXPECT_FLOAT_EQ(c[0], 5.0f);
 }
 
 TEST(MatmulInto, BadOutputShapeThrows) {
-  Tensor a(Shape{2, 2}), b(Shape{2, 2}), c(Shape{3, 3});
-  EXPECT_THROW(matmul_into(a, b, c), std::invalid_argument);
+  Tensor a(Shape{2, 2}), b(Shape{2, 2});
+  EXPECT_THROW(gemm::sgemm({.m = 2, .n = 2, .k = 2,
+                            .a = {a.data(), 2, 1}, .b = {b.data(), 2, 1},
+                            .c = nullptr, .ldc = 2}),
+               std::invalid_argument);
 }
 
 TEST(ConvOutDim, Formula) {
@@ -233,17 +264,16 @@ TEST_P(ConvAgreement, Im2colMatmulMatchesDirect) {
   Tensor cols = im2col(x, k, k, s, p);
   const std::int64_t ckk = c * k * k;
   const std::int64_t ohw = direct.shape()[2] * direct.shape()[3];
-  Tensor w2d = w.reshaped(Shape{o, ckk});
   Tensor via_cols(direct.shape());
-  for (std::int64_t b = 0; b < 2; ++b) {
-    Tensor col_b(Shape{ckk, ohw},
-                 std::vector<float>(cols.data() + b * ckk * ohw,
-                                    cols.data() + (b + 1) * ckk * ohw));
-    Tensor prod = matmul(w2d, col_b);
-    std::copy(prod.data(), prod.data() + prod.numel(),
-              via_cols.data() + b * o * ohw);
+  gemm::sgemm({.m = o, .n = ohw, .k = ckk,
+               .a = {w.data(), ckk, 1}, .b = {cols.data(), ohw, 1},
+               .c = via_cols.data(), .ldc = ohw,
+               .batches = 2, .b_batch = ckk * ohw, .c_batch = o * ohw});
+  // Same terms in the same order from +0: the padding taps the direct conv
+  // skips are ±0 terms here, which change no bit.
+  for (std::int64_t i = 0; i < direct.numel(); ++i) {
+    ASSERT_EQ(via_cols[i], direct[i]) << "output " << i;
   }
-  EXPECT_LT(max_abs_diff(direct, via_cols), 1e-4f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
