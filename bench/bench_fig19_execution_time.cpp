@@ -143,9 +143,9 @@ int main(int argc, char** argv) {
          {"speedup", scalar_s / active_s}});
   }
 
-  // Threshold sweep over the same conv stack: the mask-aware sparse
-  // epilogue runs Eq. 3 only over the compacted sensitive lists, so host
-  // wall time must fall with the sensitive fraction. The fractions are
+  // Threshold sweep over the same conv stack: the fused tiles compute
+  // Eq. 3's full products only for sensitive outputs, so host wall time
+  // must fall with the sensitive fraction. The fractions are
   // deterministic (fixed rng seed) and gated by odq_bench_diff; the
   // *_seconds cells are wall-clock and auto-ignored by the gate.
   std::printf("\nHost threshold sweep — sensitive fraction vs wall time:\n");

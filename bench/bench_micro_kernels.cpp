@@ -1,7 +1,8 @@
 // google-benchmark micro kernels: the primitive operations whose relative
 // costs drive the accelerator model — float conv, integer conv, bit-split,
-// ODQ predictor-only, full ODQ, DRQ mixed conv, quantization, and the float
-// GEMM products of a conv's forward and backward.
+// ODQ predictor-only, full ODQ, DRQ mixed conv, quantization, the float
+// GEMM products of a conv's forward and backward, and the ODQ executor's
+// steady state on the ResNet-20 conv shapes.
 #include <benchmark/benchmark.h>
 
 #include "core/odq.hpp"
@@ -92,6 +93,31 @@ void BM_OdqFull(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16 * 16 * c * c * 9);
 }
 BENCHMARK(BM_OdqFull)->Arg(4)->Arg(8)->Arg(16);
+
+// One ResNet-20 (width 8) conv at batch 1 through an OdqConvExecutor, the
+// production path: weights are quantized and packed once, so each call
+// times only the per-input work (scan, quantize, fused tiles, dequantize).
+// range(0) picks the shape — the stem, then a 3x3 conv of stage 1, 2 and 3
+// (8/8/16/32 filters over 3/8/16/32 channels at 32/32/16/8 pixels square);
+// range(1) the threshold: 0 makes every output sensitive, 1 none (1e30).
+void BM_OdqExecutorConv(benchmark::State& state) {
+  static constexpr std::int64_t kIn[] = {3, 8, 16, 32};
+  static constexpr std::int64_t kOut[] = {8, 8, 16, 32};
+  static constexpr std::int64_t kSize[] = {32, 32, 16, 8};
+  const auto s = static_cast<std::size_t>(state.range(0));
+  const std::int64_t hw = kSize[s];
+  Tensor x = random_acts(Shape{1, kIn[s], hw, hw}, 20);
+  Tensor w = random_weights(Shape{kOut[s], kIn[s], 3, 3}, 21);
+  Tensor bias;
+  core::OdqConfig cfg;
+  cfg.threshold = state.range(1) == 0 ? 0.0f : 1e30f;
+  core::OdqConvExecutor exec(cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec.run(x, w, bias, 1, 1, /*conv_id=*/0));
+  }
+  state.SetItemsProcessed(state.iterations() * hw * hw * kOut[s] * kIn[s] * 9);
+}
+BENCHMARK(BM_OdqExecutorConv)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 void BM_DrqMixedConv(benchmark::State& state) {
   const std::int64_t c = state.range(0);

@@ -24,7 +24,6 @@
 #include <mutex>
 #include <vector>
 
-#include "gemm/sparse_epilogue.hpp"
 #include "nn/layer.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
@@ -47,12 +46,13 @@ struct OdqConfig {
   // across the range the way DoReFa's fixed [0,1] clip does. Values above
   // the clip saturate at the top code.
   float act_clip_percentile = -1.0f;
-  // Execution threading. 0 (default) runs the tiled pipeline on the global
-  // util::ThreadPool (pool size: ODQ_THREADS env var, else hardware
-  // concurrency); 1 forces the serial reference implementation
-  // (odq_conv_reference), the oracle the parallel-equivalence tests compare
-  // against. Both paths are bit-exact on integer accumulators, so the
-  // choice never affects results — only scheduling.
+  // Execution threading. 0 (default) runs the fused tiles of odq_conv on
+  // the global util::ThreadPool (pool size: ODQ_THREADS env var, else
+  // hardware concurrency; small convs run inline on the caller); 1 forces
+  // the serial reference implementation (odq_conv_reference), the oracle
+  // the parallel-equivalence tests compare against. Both paths are
+  // bit-exact on integer accumulators, so the choice never affects results
+  // — only scheduling.
   int num_threads = 0;
 };
 
@@ -62,11 +62,13 @@ struct OdqLayerStats {
   std::int64_t sensitive = 0;
   std::int64_t predictor_macs = 0;  // INT2 MACs (every output)
   std::int64_t executor_macs = 0;   // remaining MACs (sensitive outputs only)
-  // Phase wall time of the packed-GEMM pipeline (zero on the serial
-  // reference path, which has no pack/GEMM phases): activation digit split
-  // + packing (weights are packed outside this phase), predictor INT-GEMM,
-  // and mask-aware sparse result generation. Additive across calls, like
-  // the MAC counters.
+  // Phase wall time of the fused tiles (zero on the serial reference path):
+  // activation row packing (weights are packed outside this phase), the
+  // predictor tile plus threshold, and Eq. (3)'s remainder for sensitive
+  // outputs. Each tile times its own phases; a conv's parallel region wall
+  // time is split across the three in proportion to the tiles' summed
+  // phase times, so the three add up to the region's wall time. Additive
+  // across calls, like the MAC counters.
   double pack_seconds = 0.0;
   double gemm_seconds = 0.0;
   double sparse_epilogue_seconds = 0.0;
@@ -96,25 +98,25 @@ struct OdqConvResult {
   // Per-output-channel sensitive counts (summed over batch & space) — the
   // accelerator simulator's workload-balance input.
   std::vector<std::int64_t> sensitive_per_channel;
-  // Compacted per-(batch, out-channel) sensitive output-pixel indices, the
-  // executor PE work queues the sparse epilogue consumed. Always consistent
-  // with `mask` and `stats.sensitive` (tests/gemm pins this).
-  gemm::SensitiveLists sensitive_lists;
   float scale = 1.0f;  // float value = acc * scale
   OdqLayerStats stats;
 };
 
 // Core integer pipeline on already-quantized tensors. `input` must be an
-// unsigned QTensor with `cfg.total_bits` bits, `weight` a signed one.
-// Runs the fused mask+executor passes tiled over (batch, out-channel) on
-// the global thread pool unless cfg.num_threads == 1.
+// unsigned QTensor and `weight` a signed one, both `cfg.total_bits` wide,
+// with total_bits <= 7 (the integer kernels take activation codes up to
+// 127); anything else throws std::invalid_argument. Runs one parallel
+// region of fused (batch, row tile) tasks — pack, predictor + threshold,
+// Eq. (3) remainder — unless cfg.num_threads == 1, which runs
+// odq_conv_reference.
 OdqConvResult odq_conv(const quant::QTensor& input,
                        const quant::QTensor& weight, std::int64_t stride,
                        std::int64_t pad, const OdqConfig& cfg);
 
 // Serial scalar reference for odq_conv: separate mask and result-generation
-// passes, no tiling, no pool. Kept as the oracle for the parallel path
-// (tests/core/test_odq_parallel.cpp asserts bit-exact agreement).
+// passes, no tiling, no pool. Kept as the oracle for the fused path
+// (tests/core/test_odq_parallel.cpp asserts bit-exact agreement). Validates
+// its operands the same way.
 OdqConvResult odq_conv_reference(const quant::QTensor& input,
                                  const quant::QTensor& weight,
                                  std::int64_t stride, std::int64_t pad,

@@ -1,5 +1,7 @@
 #include "gemm/gemm.hpp"
 
+#include <stdexcept>
+
 #include "gemm/sgemm.hpp"
 #include "tensor/ops.hpp"
 
@@ -7,14 +9,6 @@ namespace odq::gemm {
 
 using tensor::Shape;
 using tensor::Tensor;
-using tensor::TensorI32;
-
-TensorI32 gemm_conv_i8(const PackedIm2col& cols, const PackedWeights& wts,
-                       int shift) {
-  TensorI32 out(Shape{cols.batches, wts.oc, cols.oh, cols.ow});
-  gemm_conv_int<std::int32_t>(cols, wts, shift, out.data());
-  return out;
-}
 
 Tensor conv2d_f32(const Tensor& input, const Tensor& weight,
                   const Tensor& bias, std::int64_t stride, std::int64_t pad) {

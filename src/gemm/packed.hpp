@@ -1,144 +1,78 @@
-// Packed im2col operands for the integer conv-GEMM core.
+// Packed operands of the ODQ integer conv: activation row tiles and the
+// prepared weight panels (float convs use tensor::im2col and the float GEMM
+// in gemm/sgemm.hpp instead).
 //
-// The integer conv schemes in this library (ODQ predictor + result
-// generation, INT-N codes) reduce to the same computation: an im2col matrix
-// [OH*OW, C*KH*KW] per batch element multiplied against a filter panel
-// [OC, C*KH*KW]. The structs here hold both operands in one cache-blocked
-// layout shared by all of them (float convs use tensor::im2col and the float
-// GEMM in gemm/sgemm.hpp instead):
+// A conv is a product of an im2col matrix [OH*OW, C*KH*KW] per batch
+// element with a filter panel [OC, C*KH*KW]. Neither is ever built whole:
 //
-//   * Rows are *output pixels* (receptive fields), stored contiguously —
-//     the transpose of the [CKK, OHW] matrix tensor::im2col produces.
-//     A GEMM dot product then reads two contiguous byte runs, and the
-//     mask-aware sparse epilogue can gather an arbitrary subset of output
-//     pixels with perfect locality (one contiguous row per sensitive
-//     output, no per-element branching).
-//   * The depth K = C*KH*KW is zero-padded to a multiple of kKTile so the
-//     microkernels never handle a remainder. Zero entries contribute
-//     nothing to any integer partial product, so padding is invisible to
-//     the accumulators.
-//   * ODQ operands are *digit-split at pack time*: one packed plane for the
-//     high-order digits (HBS) and one for the low-order digits (LBS) of
-//     each code (quant::high_part / low_part), produced in a single pass
-//     over the input. The predictor multiplies high x high; Eq. (3) result
-//     generation reads all four plane pairs. This is the layout ROADMAP
-//     item 1's bit-packed SIMD kernels will consume multiple-per-lane.
-//
-// Packing is lossless: unpack_* recover exactly the im2col matrix (and the
-// split digits) the scalar reference paths compute, which the
-// tests/gemm round-trip fuzz suite asserts.
+//   * Activation rows are packed one row tile at a time into the caller's
+//     scratch (pack_tile_rows). Row r is the receptive field of output
+//     pixel r, its C*KH*KW codes stored contiguously in im2col order, so a
+//     dot product reads two contiguous byte runs. Each row holds the full
+//     unsigned codes; the tile kernels take the high digits in register.
+//   * The depth K = C*KH*KW is zero-padded to a multiple of kKTile, so the
+//     kernels never handle a remainder. Zero entries contribute nothing to
+//     any integer product, so padding is invisible to the accumulators.
+//   * Weights are packed once per conv (TilePanels): a high-digit panel for
+//     the predictor and a full-code panel for Eq. (3)'s full product, with
+//     the filter count padded to the kernels' register block.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "quant/bitsplit.hpp"
+#include "simd/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace odq::gemm {
 
-// Depth-padding quantum: K is rounded up to a multiple of this so the
-// microkernel's unrolled accumulator loop needs no tail handling. 16 int8
-// lanes is one SSE register / half a NEON quad-pair — the natural quantum
-// for the planned bit-packed SIMD kernels.
-inline constexpr std::int64_t kKTile = 16;
-
-// Output-pixel cache block: a GEMM task walks rows in blocks of this many
-// receptive fields so the filter panel stays hot in L1 across the block.
-inline constexpr std::int64_t kRowTile = 64;
-
-// Filters per register block: each packed column row is read once and
-// dotted against this many filter rows before moving on.
-inline constexpr std::int64_t kOcTile = 4;
+// Depth-padding quantum: the SIMD kernels' 16-byte block.
+inline constexpr std::int64_t kKTile = simd::kKTileLanes;
 
 inline std::int64_t pad_k(std::int64_t k) {
   return (k + kKTile - 1) / kKTile * kKTile;
 }
 
-// One packed im2col operand (a single digit plane, or full codes).
-// data[(b * rows + r) * k_padded + p] is entry p of output pixel r of batch
-// element b; entries beyond `k` are zero.
-template <typename T>
-struct PackedIm2colT {
-  std::int64_t batches = 0;
-  std::int64_t rows = 0;      // OH * OW
-  std::int64_t k = 0;         // C * KH * KW (logical depth)
-  std::int64_t k_padded = 0;  // k rounded up to kKTile
-  std::int64_t oh = 0, ow = 0;
-  std::vector<T> data;
+inline std::int64_t round_up(std::int64_t n, std::int64_t m) {
+  return (n + m - 1) / m * m;
+}
 
-  const T* row(std::int64_t b, std::int64_t r) const {
-    return data.data() + static_cast<std::size_t>((b * rows + r) * k_padded);
-  }
-  T* row(std::int64_t b, std::int64_t r) {
-    return data.data() + static_cast<std::size_t>((b * rows + r) * k_padded);
-  }
+// Conv geometry: input channels and spatial size, kernel, stride, padding.
+struct ConvShape {
+  std::int64_t c = 0, h = 0, w = 0;
+  std::int64_t kh = 0, kw = 0;
+  std::int64_t stride = 1, pad = 0;
 };
 
-using PackedIm2col = PackedIm2colT<std::int8_t>;
+// In-bounds MAC count per output pixel, row-major over [oh, ow]:
+// c * ki_n(oy) * kj_n(ox), the taps the direct oracle actually visits.
+std::vector<std::int64_t> valid_macs_per_row(const ConvShape& g,
+                                             std::int64_t oh, std::int64_t ow);
 
-// A packed filter panel: row f holds filter f's C*KH*KW taps in im2col
-// order, zero-padded to k_padded.
-template <typename T>
-struct PackedWeightsT {
+// Copies the receptive fields of output pixels [r0, r1) of one image
+// (`image` points at its [C, H, W] codes) into `dst`: row r goes to
+// dst + (r - r0) * kp, in im2col order (ic, ki, kj). Taps in the image
+// padding and the depth padding [C*KH*KW, kp) are written as zero, so the
+// scratch needs no clearing between tiles. kp must be pad_k(C*KH*KW).
+void pack_tile_rows(const ConvShape& g, const std::int8_t* image,
+                    std::int64_t r0, std::int64_t r1, std::int64_t kp,
+                    std::uint8_t* dst);
+
+// The prepared weight panels of one conv: filter f's high digits
+// (quant::high_part) and full codes at row f, k_padded bytes each, zero in
+// the depth padding and in the filters past `oc`.
+struct TilePanels {
   std::int64_t oc = 0;
-  std::int64_t k = 0;
-  std::int64_t k_padded = 0;
-  std::vector<T> data;
-
-  const T* row(std::int64_t f) const {
-    return data.data() + static_cast<std::size_t>(f * k_padded);
-  }
-  T* row(std::int64_t f) {
-    return data.data() + static_cast<std::size_t>(f * k_padded);
-  }
-};
-
-using PackedWeights = PackedWeightsT<std::int8_t>;
-
-// Digit-split operand pairs (ODQ). `high` and `low` share one geometry.
-struct PackedSplitIm2col {
-  PackedIm2col high;
-  PackedIm2col low;
+  std::int64_t oc_padded = 0;  // oc rounded up to simd::kTileFilters
+  std::int64_t k = 0;          // C * KH * KW
+  std::int64_t k_padded = 0;   // pad_k(k)
   int low_bits = 2;
+  std::vector<std::int8_t> high;
+  std::vector<std::int8_t> full;
 };
 
-struct PackedSplitWeights {
-  PackedWeights high;
-  PackedWeights low;
-  int low_bits = 2;
-};
-
-// --- Packers -------------------------------------------------------------
-
-// Full-code int8 activations [N,C,H,W] -> packed receptive-field rows.
-PackedIm2col pack_im2col_i8(const tensor::TensorI8& input, std::int64_t kh,
-                            std::int64_t kw, std::int64_t stride,
-                            std::int64_t pad);
-
-// Digit-split packer: one pass over the codes produces the HBS and LBS
-// planes (quant::high_part / low_part with `low_bits` low bits).
-PackedSplitIm2col pack_im2col_split(const tensor::TensorI8& input,
-                                    int low_bits, std::int64_t kh,
-                                    std::int64_t kw, std::int64_t stride,
-                                    std::int64_t pad);
-
-// Filter panels from OIHW weights.
-PackedWeights pack_weights_i8(const tensor::TensorI8& weight);
-PackedSplitWeights pack_weights_split(const tensor::TensorI8& weight,
-                                      int low_bits);
-
-// --- Unpackers (round-trip validation) -----------------------------------
-
-// Recover the [N, C*KH*KW, OH*OW] matrix in tensor::im2col's layout
-// (transposes the packed rows back, drops the depth padding).
-tensor::TensorI8 unpack_im2col_i8(const PackedIm2col& packed, std::int64_t c,
-                                  std::int64_t kh, std::int64_t kw);
-
-// Recompose a digit-split pair back into full codes, same layout as
-// unpack_im2col_i8. Exact for any codes the split came from.
-tensor::TensorI8 unpack_im2col_split(const PackedSplitIm2col& packed,
-                                     std::int64_t c, std::int64_t kh,
-                                     std::int64_t kw);
+// Panels from OIHW weight codes. Throws std::invalid_argument for a
+// non-OIHW tensor or a depth beyond simd::kMaxDotDepth.
+TilePanels pack_tile_panels(const tensor::TensorI8& weight, int low_bits);
 
 }  // namespace odq::gemm

@@ -1,4 +1,4 @@
-// Runtime CPU-feature dispatch for the bit-packed SIMD kernels.
+// Runtime CPU-feature dispatch for the SIMD kernels.
 //
 // Backend selection, in order:
 //   1. ODQ_SIMD=scalar|avx2|neon forces a backend (read once, first use).

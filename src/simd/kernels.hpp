@@ -1,12 +1,13 @@
-// Bit-exact SIMD kernels for the packed conv-GEMM core: three integer dot
-// products, the activation quantizer, and the float GEMM tile.
+// Bit-exact SIMD kernels: the ODQ integer tile kernels, the activation
+// quantizer, and the float GEMM tile.
 //
-// Every dot kernel here computes an *integer* sum whose value is independent
-// of accumulation order, and the quantizer is elementwise and built from
-// correctly rounded IEEE operations, so the scalar reference, the AVX2
-// backend, and the NEON backend are interchangeable bit-for-bit — the
-// `simd`-labelled differential suite (tests/simd/) sweeps every lane-boundary
-// shape across all available backends and asserts exactly that.
+// The integer kernels compute *integer* sums whose value is independent of
+// accumulation order, and the quantizer and the threshold epilogue are
+// elementwise and built from correctly rounded IEEE operations, so the
+// scalar reference, the AVX2 backend, and the NEON backend are
+// interchangeable bit-for-bit — the `simd`-labelled differential suite
+// (tests/simd/) sweeps every lane-boundary shape across all available
+// backends and asserts exactly that.
 //
 // The float GEMM tile is bit-exact for a different reason: it fixes the
 // order. Each output owns one accumulator and adds its terms one at a time,
@@ -21,60 +22,79 @@
 // out a multiply then an add (_mm256_mul_ps + _mm256_add_ps), never an FMA
 // intrinsic.
 //
-// Contract shared by the three dot entry points:
+// Contract shared by the integer kernels:
 //   * `kp` is the padded depth of a packed row (gemm/packed.hpp): a multiple
-//     of kKTile (16), so vector loops never handle a remainder and scalar
-//     unrolls never need a tail.
-//   * Operands are int8 digit planes or full int8 codes; products fit int16
-//     (|a*b| <= 128*128 = 2^14) and the int32 accumulators have headroom for
-//     any depth this library reaches (see kMaxDotBlocks below).
+//     of kKTileLanes (16). Vector loops step 32 bytes and finish with one
+//     16-byte block; scalar loops never need a tail.
+//   * Activation operands are unsigned codes in [0, 127] (at most 7 bits,
+//     which odq_conv enforces); weight operands are signed bytes. So a pair
+//     of products fits int16 without saturating (the maddubs budget below),
+//     and the whole sum fits int32 up to kMaxDotDepth.
 //   * Padding lanes (entries in [k, kp)) are zero in at least one operand,
 //     so they contribute exact zeros — kernels multiply them unconditionally.
 //
 // The kernels are reached through the per-backend tables in dispatch.hpp;
-// hot loops fetch the active table once per GEMM call, not per dot product.
+// hot loops fetch the active table once per conv, not per block.
 #pragma once
 
 #include <cstdint>
 
 namespace odq::simd {
 
-// Overflow budget, derived from the kKTile = 16 packing quantum: each
-// 16-lane block contributes at most 2 products of |a|,|b| <= 128 per int32
-// vector lane (the widen-to-int16 + pairwise-multiply-accumulate step every
-// backend uses), so a lane stays exact for up to kMaxDotBlocks blocks.
+// Depth quantum of every packed integer row.
 inline constexpr std::int64_t kKTileLanes = 16;
-inline constexpr std::int64_t kMaxLaneProduct = 128 * 128;  // |int8 * int8|
-inline constexpr std::int64_t kMaxDotBlocks =
-    ((std::int64_t{1} << 31) - 1) / (2 * kMaxLaneProduct);
-static_assert(kMaxDotBlocks * 2 * kMaxLaneProduct <= (std::int64_t{1} << 31) - 1,
-              "int32 vector lane must absorb kMaxDotBlocks kKTile blocks");
-static_assert(2 * kMaxLaneProduct <= 32767 + 1,
-              "a widened int16 product pair must not saturate a madd lane");
+// Operand ranges the integer kernels accept: unsigned activation codes up
+// to 127, signed weight bytes down to -128.
+inline constexpr std::int64_t kMaxActCode = 127;
+inline constexpr std::int64_t kMaxLaneProduct = kMaxActCode * 128;
+// Budget 1: _mm256_maddubs_epi16 adds two u8 x s8 products into a
+// saturating int16 lane. With codes <= 127 the pair sum is at most
+// 2 * 127 * 128 = 32512, so it never saturates. (A code of 128 or more
+// could: 2 * 255 * 127 > 32767. That is why activations stop at 7 bits.)
+static_assert(2 * kMaxLaneProduct <= 32767,
+              "a maddubs pair sum must not saturate its int16 lane");
+// Budget 2: _mm256_madd_epi16 by ones widens those pair sums into int32
+// lanes, and every partial sum of a dot is bounded by the whole dot, at
+// most kp * 127 * 128 in magnitude. kMaxDotDepth keeps that exact in int32
+// (~132k taps; the largest layer in the model zoo is ~4.6k).
+inline constexpr std::int64_t kMaxDotDepth =
+    ((std::int64_t{1} << 31) - 1) / kMaxLaneProduct / kKTileLanes *
+    kKTileLanes;
+static_assert(kMaxDotDepth * kMaxLaneProduct <= (std::int64_t{1} << 31) - 1,
+              "an int32 accumulator must hold kMaxDotDepth full products");
 
-// Maximum packed depth any dot kernel accepts while the int32 accumulation
-// stays exact (~1M taps; the largest layer in the model zoo is ~4.6k).
-inline constexpr std::int64_t kMaxDotDepth = kMaxDotBlocks * kKTileLanes;
+// ODQ integer tile: kTileRows activation rows x kTileFilters filters per
+// register block.
+inline constexpr std::int64_t kTileRows = 4;
+inline constexpr std::int64_t kTileFilters = 2;
 
-// sum_p a[p] * b[p] over kp int8 entries, exact in int32.
-using DotI8Fn = std::int32_t (*)(const std::int8_t* a, const std::int8_t* b,
-                                 std::int64_t kp);
+// u8 x s8 tile over packed rows (row r of `a` at a + r * kp, filter f of `w`
+// at w + f * kp):
+//   c[f * ldc + r] = sum_p (a[r*kp + p] >> shift) * w[f*kp + p]
+// for r < rows and f < filters, which must be multiples of kTileRows and
+// kTileFilters. shift = low_bits takes the activations' high digits in
+// register (the predictor against the high-digit weight panel); shift = 0
+// multiplies full codes (Eq. 3's full product against the full-code panel).
+using TileU8S8Fn = void (*)(const std::uint8_t* a, std::int64_t rows,
+                            const std::int8_t* w, std::int64_t filters,
+                            std::int64_t kp, int shift, std::int32_t* c,
+                            std::int64_t ldc);
 
-// Same sum, exact in int64 regardless of int32 headroom: vector backends
-// widen every kKTile block's int32 partial sums into int64 lanes, so this
-// stays bit-identical to a scalar int64 accumulation even where an int32
-// sum would wrap.
-using DotI8Acc64Fn = std::int64_t (*)(const std::int8_t* a,
-                                      const std::int8_t* b, std::int64_t kp);
+// One full-code dot, sum_p a[p] * w[p]: the gathered form of a sensitive
+// output's full product.
+using DotU8S8Fn = std::int32_t (*)(const std::uint8_t* a, const std::int8_t* w,
+                                   std::int64_t kp);
 
-// The Eq. (3) epilogue pair over four digit planes:
-//   *cross = sum_p ah[p]*bl[p] + al[p]*bh[p]
-//   *low   = sum_p al[p]*bl[p]
-// (the caller folds the << low_bits into the cross term).
-using DotI8SplitFn = void (*)(const std::int8_t* ah, const std::int8_t* al,
-                              const std::int8_t* bh, const std::int8_t* bl,
-                              std::int64_t kp, std::int32_t* cross,
-                              std::int32_t* low);
+// ODQ threshold epilogue over n predictor sums:
+//   p = raw[i] << lshift;  pred[i] = acc[i] = p;
+//   mask[i] = |float(p) * scale| >= threshold  (0 or 1).
+// Returns the number of mask bits set. float(p), the multiply and the
+// compare are each correctly rounded (no FMA), so every backend gives the
+// reference's mask.
+using ThresholdFn = std::int64_t (*)(const std::int32_t* raw, std::int64_t n,
+                                     int lshift, float scale, float threshold,
+                                     std::int32_t* pred, std::int32_t* acc,
+                                     std::uint8_t* mask);
 
 // Unsigned activation codes for n floats:
 //   q[i] = round_half_even(min(max(x[i] / scale, 0), qmax)),  NaN -> 0.
@@ -102,9 +122,9 @@ using GemmF32TileFn = void (*)(std::int64_t kc, const float* a,
 // One backend's kernel table.
 struct Kernels {
   const char* name;
-  DotI8Fn dot_i8;
-  DotI8Acc64Fn dot_i8_acc64;
-  DotI8SplitFn dot_i8_split;
+  TileU8S8Fn tile_u8s8;
+  DotU8S8Fn dot_u8s8;
+  ThresholdFn threshold;
   QuantizeActFn quantize_act;
   GemmF32TileFn gemm_f32_tile;
 };
@@ -112,7 +132,17 @@ struct Kernels {
 // The always-available scalar reference (kernels_scalar.cpp).
 const Kernels& scalar_kernels();
 
-// The scalar GEMM tile, also the NEON table's entry (kernels_neon.cpp).
+// Scalar entries the NEON table reuses (kernels_neon.cpp).
+void tile_u8s8_scalar(const std::uint8_t* a, std::int64_t rows,
+                      const std::int8_t* w, std::int64_t filters,
+                      std::int64_t kp, int shift, std::int32_t* c,
+                      std::int64_t ldc);
+std::int32_t dot_u8s8_scalar(const std::uint8_t* a, const std::int8_t* w,
+                             std::int64_t kp);
+std::int64_t threshold_scalar(const std::int32_t* raw, std::int64_t n,
+                              int lshift, float scale, float threshold,
+                              std::int32_t* pred, std::int32_t* acc,
+                              std::uint8_t* mask);
 void gemm_f32_tile_scalar(std::int64_t kc, const float* a, const float* b,
                           float* c, std::int64_t ldc);
 

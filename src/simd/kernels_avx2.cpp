@@ -1,4 +1,4 @@
-// AVX2 backend: widen-accumulate integer dot products over packed rows, the
+// AVX2 backend: the ODQ integer tile kernels, the threshold epilogue, the
 // activation quantizer, and the float GEMM tile.
 //
 // This is the only TU in the library compiled with -mavx2 (per-source flag
@@ -6,18 +6,26 @@
 // dispatch.cpp gates entry on a runtime cpuid check. Without the flag the
 // TU compiles to the nullptr stub at the bottom.
 //
-// Kernel shape, per kKTile (16-lane) block:
-//   1. load 16 int8 from each operand,
-//   2. sign-extend to 16 x int16 (_mm256_cvtepi8_epi16) — two digits now
-//      ride each 32-bit madd input pair,
-//   3. _mm256_madd_epi16: multiply int16 lanes, add adjacent pairs into
-//      8 x int32 — exact, because |int8*int8| <= 2^14 and a pair sum
-//      <= 2^15 (static_assert in kernels.hpp), so the signed-saturation
-//      edge of the maddubs-style tricks never applies,
-//   4. accumulate the int32 lanes (or widen each block's lanes to int64 for
-//      the acc64 kernel, which must stay exact past int32 headroom).
-// Integer addition is associative, so the lane-parallel accumulation is
+// Integer tile, per 32-byte step of the depth:
+//   1. load 32 activation bytes per row; for the predictor, take the high
+//      digits in register (a 16-bit logical shift, then a byte mask that
+//      drops the bits shifted in from the neighbouring byte),
+//   2. _mm256_maddubs_epi16(activations, weights): unsigned x signed byte
+//      products, adjacent pairs added into int16 lanes — exact, because
+//      codes are <= 127 and a pair sum stays below 2^15 (kernels.hpp),
+//   3. _mm256_madd_epi16 by ones: adjacent int16 lanes added into int32,
+//   4. add into one int32 accumulator per output.
+// A block is kTileRows rows x kTileFilters filters: each activation load
+// serves every filter of the block, each weight load every row, and one
+// horizontal reduction turns the eight accumulators into eight sums. A
+// depth that is an odd multiple of 16 ends with one 16-byte block.
+// Integer addition is associative, so the lane-parallel sums are
 // bit-identical to the scalar reference for every input.
+//
+// The threshold epilogue runs 8 outputs per step: shift, store, then
+// _mm256_cvtepi32_ps, _mm256_mul_ps, a sign-bit clear and
+// _mm256_cmp_ps(_CMP_GE_OQ) — each correctly rounded and the same as the
+// scalar float(p) * scale, std::abs and >= (a NaN compares false in both).
 //
 // The activation quantizer runs 8 floats per step: _mm256_div_ps (the same
 // correctly rounded quotient as the scalar divide), max/min against 0 and
@@ -36,76 +44,180 @@ namespace odq::simd {
 
 namespace {
 
-inline __m256i madd_block(const std::int8_t* a, const std::int8_t* b) {
-  const __m256i a16 = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(a)));
-  const __m256i b16 = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
-  return _mm256_madd_epi16(a16, b16);
+static_assert(kTileRows == 4 && kTileFilters == 2, "tile shape");
+
+// The activation bytes of one depth step, high digits when kDigits.
+template <bool kDigits>
+inline __m256i act_bytes(__m256i x, __m128i shift, __m256i digit_mask) {
+  if constexpr (kDigits) {
+    return _mm256_and_si256(_mm256_srl_epi16(x, shift), digit_mask);
+  } else {
+    return x;
+  }
 }
 
-inline std::int32_t hsum_epi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
+// The eight accumulators of one register block, c[f][r] for filter f and
+// row r, kept in named registers: an indexed array would live in memory.
+struct BlockAcc {
+  __m256i c00, c01, c02, c03, c10, c11, c12, c13;
+
+  // One depth step: rows x0..x3 against filters b0, b1. maddubs adds pairs
+  // of u8 x s8 products into int16 lanes; madd by ones widens adjacent
+  // pairs into int32.
+  inline void step(__m256i x0, __m256i x1, __m256i x2, __m256i x3, __m256i b0,
+                   __m256i b1, __m256i ones) {
+    const auto mac = [ones](__m256i x, __m256i b) {
+      return _mm256_madd_epi16(_mm256_maddubs_epi16(x, b), ones);
+    };
+    c00 = _mm256_add_epi32(c00, mac(x0, b0));
+    c01 = _mm256_add_epi32(c01, mac(x1, b0));
+    c02 = _mm256_add_epi32(c02, mac(x2, b0));
+    c03 = _mm256_add_epi32(c03, mac(x3, b0));
+    c10 = _mm256_add_epi32(c10, mac(x0, b1));
+    c11 = _mm256_add_epi32(c11, mac(x1, b1));
+    c12 = _mm256_add_epi32(c12, mac(x2, b1));
+    c13 = _mm256_add_epi32(c13, mac(x3, b1));
+  }
+
+  // The eight sums, filter 0's rows in the low half, filter 1's in the high.
+  inline __m256i reduce() const {
+    const __m256i t0 = _mm256_hadd_epi32(_mm256_hadd_epi32(c00, c01),
+                                         _mm256_hadd_epi32(c02, c03));
+    const __m256i t1 = _mm256_hadd_epi32(_mm256_hadd_epi32(c10, c11),
+                                         _mm256_hadd_epi32(c12, c13));
+    return _mm256_add_epi32(_mm256_permute2x128_si256(t0, t1, 0x20),
+                            _mm256_permute2x128_si256(t0, t1, 0x31));
+  }
+};
+
+inline __m256i load32(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+// A 16-byte block in the low lanes, zero in the high ones.
+inline __m256i load16(const void* p) {
+  return _mm256_zextsi128_si256(
+      _mm_loadu_si128(static_cast<const __m128i*>(p)));
+}
+
+template <bool kDigits>
+void tile_block(const std::uint8_t* a, const std::int8_t* w, std::int64_t kp,
+                __m128i shift, __m256i digit_mask, std::int32_t* c,
+                std::int64_t ldc) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  const auto digits = [&](__m256i x) {
+    return act_bytes<kDigits>(x, shift, digit_mask);
+  };
+  const std::uint8_t* a1 = a + kp;
+  const std::uint8_t* a2 = a + 2 * kp;
+  const std::uint8_t* a3 = a + 3 * kp;
+  const std::int8_t* w1 = w + kp;
+  BlockAcc acc{};
+  std::int64_t p = 0;
+  for (; p + 32 <= kp; p += 32) {
+    acc.step(digits(load32(a + p)), digits(load32(a1 + p)),
+             digits(load32(a2 + p)), digits(load32(a3 + p)), load32(w + p),
+             load32(w1 + p), ones);
+  }
+  if (p < kp) {
+    // The 16-byte tail: the upper lanes are zero in both operands.
+    acc.step(digits(load16(a + p)), digits(load16(a1 + p)),
+             digits(load16(a2 + p)), digits(load16(a3 + p)), load16(w + p),
+             load16(w1 + p), ones);
+  }
+  const __m256i sums = acc.reduce();
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(c),
+                   _mm256_castsi256_si128(sums));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(c + ldc),
+                   _mm256_extracti128_si256(sums, 1));
+}
+
+template <bool kDigits>
+void tile_loop(const std::uint8_t* a, std::int64_t rows, const std::int8_t* w,
+               std::int64_t filters, std::int64_t kp, int shift,
+               std::int32_t* c, std::int64_t ldc) {
+  const __m128i count = _mm_cvtsi32_si128(shift);
+  const __m256i digit_mask =
+      _mm256_set1_epi8(static_cast<char>(0xFF >> shift));
+  // Filter blocks outermost: a block's two weight rows stay in L1 while the
+  // row blocks stream past them.
+  for (std::int64_t f = 0; f < filters; f += kTileFilters) {
+    for (std::int64_t r = 0; r < rows; r += kTileRows) {
+      tile_block<kDigits>(a + r * kp, w + f * kp, kp, count, digit_mask,
+                          c + f * ldc + r, ldc);
+    }
+  }
+}
+
+void tile_u8s8_avx2(const std::uint8_t* a, std::int64_t rows,
+                    const std::int8_t* w, std::int64_t filters,
+                    std::int64_t kp, int shift, std::int32_t* c,
+                    std::int64_t ldc) {
+  if (shift == 0) {
+    tile_loop<false>(a, rows, w, filters, kp, 0, c, ldc);
+  } else {
+    tile_loop<true>(a, rows, w, filters, kp, shift, c, ldc);
+  }
+}
+
+std::int32_t dot_u8s8_avx2(const std::uint8_t* a, const std::int8_t* w,
+                           std::int64_t kp) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i acc = _mm256_setzero_si256();
+  std::int64_t p = 0;
+  for (; p + 32 <= kp; p += 32) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + p));
+    acc = _mm256_add_epi32(acc,
+                           _mm256_madd_epi16(_mm256_maddubs_epi16(x, b), ones));
+  }
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                            _mm256_extracti128_si256(acc, 1));
+  if (p < kp) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p));
+    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + p));
+    s = _mm_add_epi32(
+        s, _mm_madd_epi16(_mm_maddubs_epi16(x, b), _mm_set1_epi16(1)));
+  }
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
   return _mm_cvtsi128_si32(s);
 }
 
-std::int32_t dot_i8_avx2(const std::int8_t* a, const std::int8_t* b,
-                         std::int64_t kp) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  std::int64_t p = 0;
-  for (; p + 2 * kKTileLanes <= kp; p += 2 * kKTileLanes) {
-    acc0 = _mm256_add_epi32(acc0, madd_block(a + p, b + p));
-    acc1 = _mm256_add_epi32(acc1, madd_block(a + p + kKTileLanes,
-                                             b + p + kKTileLanes));
+std::int64_t threshold_avx2(const std::int32_t* raw, std::int64_t n,
+                            int lshift, float scale, float threshold,
+                            std::int32_t* pred, std::int32_t* acc,
+                            std::uint8_t* mask) {
+  const __m128i count = _mm_cvtsi32_si128(lshift);
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 vthr = _mm256_set1_ps(threshold);
+  const __m256 abs_mask =
+      _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  std::int64_t sensitive = 0;
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i p = _mm256_sll_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + i)), count);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(pred + i), p);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), p);
+    const __m256 mag =
+        _mm256_and_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(p), vscale), abs_mask);
+    const __m256 sens = _mm256_cmp_ps(mag, vthr, _CMP_GE_OQ);
+    const __m256i bits = _mm256_srli_epi32(_mm256_castps_si256(sens), 31);
+    const __m128i b16 = _mm_packs_epi32(_mm256_castsi256_si128(bits),
+                                        _mm256_extracti128_si256(bits, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(mask + i),
+                     _mm_packus_epi16(b16, b16));
+    sensitive += __builtin_popcount(
+        static_cast<unsigned>(_mm256_movemask_ps(sens)));
   }
-  if (p < kp) acc0 = _mm256_add_epi32(acc0, madd_block(a + p, b + p));
-  return hsum_epi32(_mm256_add_epi32(acc0, acc1));
-}
-
-std::int64_t dot_i8_acc64_avx2(const std::int8_t* a, const std::int8_t* b,
-                               std::int64_t kp) {
-  __m256i acc = _mm256_setzero_si256();  // 4 x int64
-  for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
-    // Each block's 8 int32 partial sums are exact (<= 2^15 each); widening
-    // them into int64 lanes *every block* keeps the running sum exact even
-    // where an int32 accumulation would wrap.
-    const __m256i s32 = madd_block(a + p, b + p);
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s32)));
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s32, 1)));
+  if (i < n) {
+    sensitive += threshold_scalar(raw + i, n - i, lshift, scale, threshold,
+                                  pred + i, acc + i, mask + i);
   }
-  const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                                  _mm256_extracti128_si256(acc, 1));
-  return _mm_cvtsi128_si64(s) +
-         _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
-}
-
-void dot_i8_split_avx2(const std::int8_t* ah, const std::int8_t* al,
-                       const std::int8_t* bh, const std::int8_t* bl,
-                       std::int64_t kp, std::int32_t* cross,
-                       std::int32_t* low) {
-  __m256i acc_cross = _mm256_setzero_si256();
-  __m256i acc_low = _mm256_setzero_si256();
-  for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
-    const __m256i vah = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ah + p)));
-    const __m256i val = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(al + p)));
-    const __m256i vbh = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bh + p)));
-    const __m256i vbl = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bl + p)));
-    acc_cross = _mm256_add_epi32(acc_cross, _mm256_madd_epi16(vah, vbl));
-    acc_cross = _mm256_add_epi32(acc_cross, _mm256_madd_epi16(val, vbh));
-    acc_low = _mm256_add_epi32(acc_low, _mm256_madd_epi16(val, vbl));
-  }
-  *cross = hsum_epi32(acc_cross);
-  *low = hsum_epi32(acc_low);
+  return sensitive;
 }
 
 // Eight codes from eight floats; the clamped, rounded values are integers
@@ -183,9 +295,9 @@ void gemm_f32_tile_avx2(std::int64_t kc, const float* a, const float* b,
   _mm256_storeu_ps(c3 + 8, acc31);
 }
 
-constexpr Kernels kAvx2Kernels = {"avx2", dot_i8_avx2, dot_i8_acc64_avx2,
-                                  dot_i8_split_avx2, quantize_act_avx2,
-                                  gemm_f32_tile_avx2};
+constexpr Kernels kAvx2Kernels = {"avx2",         tile_u8s8_avx2,
+                                  dot_u8s8_avx2,  threshold_avx2,
+                                  quantize_act_avx2, gemm_f32_tile_avx2};
 
 }  // namespace
 

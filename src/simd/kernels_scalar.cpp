@@ -1,11 +1,9 @@
 // Scalar reference kernels — the always-available fallback and the oracle
 // every vector backend is differentially tested against.
 //
-// The 4-wide unroll mirrors the original gemm_conv_int inner loop (kp is a
-// multiple of kKTile = 16, so there is never a tail); integer sums
-// reassociate freely, so the unroll order is irrelevant to the result. The
-// float GEMM tile is the one loop whose order matters: k outermost, one
-// accumulator per output (kernels.hpp).
+// Integer sums reassociate freely, so the loop order of the tile is
+// irrelevant to its result. The float GEMM tile is the one loop whose order
+// matters: k outermost, one accumulator per output (kernels.hpp).
 #include <cmath>
 
 #include "simd/kernels.hpp"
@@ -13,45 +11,6 @@
 namespace odq::simd {
 
 namespace {
-
-std::int32_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b,
-                           std::int64_t kp) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::int64_t p = 0; p < kp; p += 4) {
-    s0 += static_cast<std::int32_t>(a[p]) * b[p];
-    s1 += static_cast<std::int32_t>(a[p + 1]) * b[p + 1];
-    s2 += static_cast<std::int32_t>(a[p + 2]) * b[p + 2];
-    s3 += static_cast<std::int32_t>(a[p + 3]) * b[p + 3];
-  }
-  return (s0 + s1) + (s2 + s3);
-}
-
-std::int64_t dot_i8_acc64_scalar(const std::int8_t* a, const std::int8_t* b,
-                                 std::int64_t kp) {
-  std::int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::int64_t p = 0; p < kp; p += 4) {
-    s0 += static_cast<std::int64_t>(a[p]) * b[p];
-    s1 += static_cast<std::int64_t>(a[p + 1]) * b[p + 1];
-    s2 += static_cast<std::int64_t>(a[p + 2]) * b[p + 2];
-    s3 += static_cast<std::int64_t>(a[p + 3]) * b[p + 3];
-  }
-  return (s0 + s1) + (s2 + s3);
-}
-
-void dot_i8_split_scalar(const std::int8_t* ah, const std::int8_t* al,
-                         const std::int8_t* bh, const std::int8_t* bl,
-                         std::int64_t kp, std::int32_t* cross,
-                         std::int32_t* low) {
-  std::int32_t c = 0, l = 0;
-  for (std::int64_t p = 0; p < kp; ++p) {
-    const std::int32_t x_h = ah[p];
-    const std::int32_t x_l = al[p];
-    c += x_h * bl[p] + x_l * bh[p];
-    l += x_l * bl[p];
-  }
-  *cross = c;
-  *low = l;
-}
 
 void quantize_act_scalar(const float* x, std::int64_t n, float scale,
                          float qmax, std::int8_t* q) {
@@ -63,11 +22,54 @@ void quantize_act_scalar(const float* x, std::int64_t n, float scale,
   }
 }
 
-constexpr Kernels kScalarKernels = {"scalar", dot_i8_scalar,
-                                    dot_i8_acc64_scalar, dot_i8_split_scalar,
+constexpr Kernels kScalarKernels = {"scalar",         tile_u8s8_scalar,
+                                    dot_u8s8_scalar,  threshold_scalar,
                                     quantize_act_scalar, gemm_f32_tile_scalar};
 
 }  // namespace
+
+void tile_u8s8_scalar(const std::uint8_t* a, std::int64_t rows,
+                      const std::int8_t* w, std::int64_t filters,
+                      std::int64_t kp, int shift, std::int32_t* c,
+                      std::int64_t ldc) {
+  for (std::int64_t f = 0; f < filters; ++f) {
+    const std::int8_t* wf = w + f * kp;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::uint8_t* ar = a + r * kp;
+      std::int32_t s = 0;
+      for (std::int64_t p = 0; p < kp; ++p) {
+        s += static_cast<std::int32_t>(ar[p] >> shift) * wf[p];
+      }
+      c[f * ldc + r] = s;
+    }
+  }
+}
+
+std::int32_t dot_u8s8_scalar(const std::uint8_t* a, const std::int8_t* w,
+                             std::int64_t kp) {
+  std::int32_t s = 0;
+  for (std::int64_t p = 0; p < kp; ++p) {
+    s += static_cast<std::int32_t>(a[p]) * w[p];
+  }
+  return s;
+}
+
+std::int64_t threshold_scalar(const std::int32_t* raw, std::int64_t n,
+                              int lshift, float scale, float threshold,
+                              std::int32_t* pred, std::int32_t* acc,
+                              std::uint8_t* mask) {
+  std::int64_t sensitive = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int32_t p = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(raw[i]) << lshift);
+    pred[i] = p;
+    acc[i] = p;
+    const bool sens = std::abs(static_cast<float>(p) * scale) >= threshold;
+    mask[i] = sens ? 1 : 0;
+    sensitive += sens ? 1 : 0;
+  }
+  return sensitive;
+}
 
 void gemm_f32_tile_scalar(std::int64_t kc, const float* a, const float* b,
                           float* c, std::int64_t ldc) {

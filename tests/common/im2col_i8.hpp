@@ -1,6 +1,6 @@
-// Plain-loop im2col over int8 codes: the oracle the packed im2col layout
-// (gemm::pack_im2col_i8 / unpack_im2col_i8) is checked against. Zero
-// padding; output shape [N, C*KH*KW, OH*OW], the layout of tensor::im2col.
+// Plain-loop im2col over int8 codes: the oracle the packed tile rows
+// (gemm::pack_tile_rows) are checked against. Zero padding; output shape
+// [N, C*KH*KW, OH*OW], the layout of tensor::im2col.
 #pragma once
 
 #include <cstdint>

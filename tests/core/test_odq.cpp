@@ -47,6 +47,38 @@ TEST(OdqConv, RejectsWrongBitWidth) {
   EXPECT_THROW(odq_conv(in, w, 1, 1, OdqConfig{}), std::invalid_argument);
 }
 
+// The integer kernels read activation codes as unsigned bytes whose pair
+// products must not saturate an int16 lane, which holds for codes up to
+// 127 only: a signed activation tensor or 8-bit codes would give wrong sums
+// without any error, so both entry points refuse them.
+TEST(OdqConv, RejectsOperandsTheIntegerKernelsCannotComputeExactly) {
+  QTensor in = quant::quantize_activations(random_acts(Shape{1, 2, 5, 5}, 5), 4);
+  QTensor w = quant::quantize_weights(random_weights(Shape{3, 2, 3, 3}, 6), 4);
+  QTensor signed_in = quant::quantize_signed(random_acts(Shape{1, 2, 5, 5}, 7),
+                                             4);
+  ASSERT_TRUE(signed_in.is_signed);
+  QTensor wide_in = in;
+  wide_in.bits = 8;
+  QTensor wide_w = quant::quantize_weights(random_weights(Shape{3, 2, 3, 3}, 8),
+                                           8);
+  OdqConfig wide;
+  wide.total_bits = 8;
+  for (const int threads : {0, 1}) {
+    OdqConfig cfg;
+    cfg.num_threads = threads;
+    wide.num_threads = threads;
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    EXPECT_THROW(odq_conv(signed_in, w, 1, 1, cfg), std::invalid_argument);
+    EXPECT_THROW(odq_conv(wide_in, wide_w, 1, 1, wide),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(odq_conv(in, w, 1, 1, cfg));
+  }
+  EXPECT_THROW(odq_conv_reference(signed_in, w, 1, 1, OdqConfig{}),
+               std::invalid_argument);
+  EXPECT_THROW(odq_conv_reference(wide_in, wide_w, 1, 1, wide),
+               std::invalid_argument);
+}
+
 TEST(OdqConv, StatsAreConsistent) {
   QTensor in = quant::quantize_activations(random_acts(Shape{2, 3, 8, 8}, 5), 4);
   QTensor w = quant::quantize_weights(random_weights(Shape{4, 3, 3, 3}, 6), 4);

@@ -1,22 +1,23 @@
-// Serial-vs-parallel equivalence suite for the tiled ODQ executor path.
+// Serial-vs-parallel equivalence suite for the fused ODQ conv.
 //
-// odq_conv's parallel pipeline (fused mask+result-generation over
-// (batch, out-channel) tiles) must be *bit-exact* against the serial
+// odq_conv's fused region ((batch, row tile) tasks: pack, predictor +
+// threshold, Eq. (3) remainder) must be *bit-exact* against the serial
 // reference (odq_conv_reference) — the math is integer, so equality here is
 // EXPECT_EQ, never EXPECT_NEAR. The shape matrix deliberately includes
 // stride 2, zero padding, odd spatial dims and out-channel counts that do
-// not divide evenly into pool chunks.
+// not divide evenly into register blocks or pool chunks. The pool is sized
+// once per process, so ctest also runs this suite at ODQ_THREADS 1 and 4.
 #include "core/odq.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <vector>
 
-#include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
@@ -101,6 +102,46 @@ TEST(OdqParallelGolden, MatchesSerialReferenceAcrossShapeMatrix) {
   }
 }
 
+// The fused tiles at the two mask extremes and a mid threshold (the median
+// predictor magnitude, so about half the outputs take the remainder), over
+// the shape matrix plus a conv large enough that batch 1 runs inline on the
+// caller while batch 4 crosses the per-chunk work minimum and fans out.
+TEST(OdqParallelGolden, FusedTilesMatchReferenceAtEveryThresholdAndBatch) {
+  std::vector<ConvCase> cases(std::begin(kCases), std::end(kCases));
+  cases.push_back({1, 16, 16, 16, 16, 3, 3, 1, 1, 0.0f});
+  cases.push_back({4, 16, 16, 16, 16, 3, 3, 1, 1, 0.0f});
+  std::uint64_t seed = 200;
+  for (const ConvCase& cc : cases) {
+    QTensor in = quant::quantize_activations(
+        random_acts(Shape{cc.n, cc.c, cc.h, cc.w}, seed++), 4);
+    QTensor w = quant::quantize_weights(
+        random_weights(Shape{cc.oc, cc.c, cc.kh, cc.kw}, seed++), 4);
+    OdqConfig probe;
+    probe.threshold = 0.0f;
+    probe.num_threads = 1;
+    const OdqConvResult all = odq_conv(in, w, cc.stride, cc.pad, probe);
+    std::vector<float> mags;
+    for (std::int64_t i = 0; i < all.predictor_acc.numel(); ++i) {
+      mags.push_back(
+          std::abs(static_cast<float>(all.predictor_acc[i]) * all.scale));
+    }
+    std::nth_element(mags.begin(), mags.begin() + mags.size() / 2, mags.end());
+    for (const float threshold : {0.0f, mags[mags.size() / 2], 1e30f}) {
+      OdqConfig serial_cfg;
+      serial_cfg.threshold = threshold;
+      serial_cfg.num_threads = 1;
+      OdqConfig fused_cfg = serial_cfg;
+      fused_cfg.num_threads = 0;
+      SCOPED_TRACE("case n=" + std::to_string(cc.n) + " c=" +
+                   std::to_string(cc.c) + " oc=" + std::to_string(cc.oc) +
+                   " stride=" + std::to_string(cc.stride) +
+                   " thr=" + std::to_string(threshold));
+      expect_bitwise_equal(odq_conv(in, w, cc.stride, cc.pad, serial_cfg),
+                           odq_conv(in, w, cc.stride, cc.pad, fused_cfg));
+    }
+  }
+}
+
 TEST(OdqParallelGolden, NumThreadsOneIsTheReferenceEntryPoint) {
   QTensor in = quant::quantize_activations(random_acts(Shape{1, 3, 7, 7}, 7), 4);
   QTensor w = quant::quantize_weights(random_weights(Shape{4, 3, 3, 3}, 8), 4);
@@ -127,11 +168,9 @@ TEST(OdqRecombination, SplitTermConvsReproduceFullInt4Conv) {
           random_weights(Shape{5, 3, 3, 3}, seed++), 4);
       const int lb = 2;
 
-      // The packed INT-GEMM core: pack both operands, then gemm_conv_i8.
+      // The four per-term convolutions, each on the direct integer oracle.
       auto conv = [&](const tensor::TensorI8& a, const tensor::TensorI8& b) {
-        return gemm::gemm_conv_i8(
-            gemm::pack_im2col_i8(a, b.shape()[2], b.shape()[3], stride, pad),
-            gemm::pack_weights_i8(b), /*shift=*/0);
+        return quant::conv2d_i8(a, b, stride, pad);
       };
       tensor::TensorI32 full = conv(in.q, w.q);
       quant::SplitTensor is = quant::split(in, lb);

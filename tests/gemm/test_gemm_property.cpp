@@ -1,9 +1,9 @@
-// Differential kernel-test harness for the packed im2col + tiled GEMM core
-// (src/gemm/): ~200 seeded cases proving the packed paths bit-identical to
-// the retained direct-conv oracles across schemes, strides/padding, odd
-// channel counts, and both threshold extremes, plus pack -> unpack
-// round-trip fuzzing of the layout itself. Every case prints a replay line
-// on failure (tests/common/proptest.hpp).
+// Differential kernel-test harness for the ODQ tile packer and kernels
+// (src/gemm/packed.hpp, src/simd/) and the float conv GEMM: ~200 seeded
+// cases proving the packed paths bit-identical to the retained direct-conv
+// oracles across schemes, strides/padding, odd channel counts, and both
+// threshold extremes, plus packer fuzzing against a plain im2col loop.
+// Every case prints a replay line on failure (tests/common/proptest.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 
 #include "common/im2col_i8.hpp"
 #include "common/proptest.hpp"
+#include "common/tile_conv.hpp"
 #include "core/odq.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/packed.hpp"
@@ -28,7 +29,13 @@ using tensor::TensorI32;
 using tensor::TensorI8;
 using testprop::ConvGeom;
 
-// --- Packed INT-GEMM vs the direct integer conv oracle --------------------
+std::int64_t popcount(const tensor::TensorU8& mask) {
+  std::int64_t n = 0;
+  for (std::int64_t j = 0; j < mask.numel(); ++j) n += mask[j];
+  return n;
+}
+
+// --- Tile kernels vs the direct integer conv oracle -----------------------
 
 TEST(GemmDifferential, PackedIntGemmMatchesDirectConv) {
   for (int i = 0; i < 60; ++i) {
@@ -40,11 +47,8 @@ TEST(GemmDifferential, PackedIntGemmMatchesDirectConv) {
 
     const TensorI32 oracle =
         quant::conv2d_i8(qc.input.q, qc.weight.q, g.stride, g.pad);
-
-    const PackedIm2col cols =
-        pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const PackedWeights wts = pack_weights_i8(qc.weight.q);
-    const TensorI32 packed = gemm_conv_i8(cols, wts, /*shift=*/0);
+    const TensorI32 packed =
+        testutil::tile_conv(qc.input.q, qc.weight.q, g.stride, g.pad);
 
     SCOPED_TRACE(g.str());
     ASSERT_EQ(packed.shape(), oracle.shape());
@@ -54,6 +58,9 @@ TEST(GemmDifferential, PackedIntGemmMatchesDirectConv) {
   }
 }
 
+// The predictor tile takes the activations' high digits in register; with
+// the 2*N_LBS shift applied it must equal the direct conv of the two
+// high-digit planes, shifted.
 TEST(GemmDifferential, FoldedShiftMatchesPostShiftedOracle) {
   for (int i = 0; i < 20; ++i) {
     ODQ_PROP_CASE(c, i + 1000);
@@ -63,41 +70,49 @@ TEST(GemmDifferential, FoldedShiftMatchesPostShiftedOracle) {
         testprop::random_quant_conv(c.rng(), g, p.total_bits);
     const int shift = 2 * p.low_bits;
 
-    TensorI32 oracle = quant::conv2d_i8(qc.input.q, qc.weight.q, g.stride,
-                                        g.pad);
+    TensorI32 oracle = quant::conv2d_i8(
+        quant::split(qc.input, p.low_bits).high,
+        quant::split(qc.weight, p.low_bits).high, g.stride, g.pad);
     for (std::int64_t j = 0; j < oracle.numel(); ++j) oracle[j] <<= shift;
 
-    const PackedIm2col cols =
-        pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const PackedWeights wts = pack_weights_i8(qc.weight.q);
-    const TensorI32 packed = gemm_conv_i8(cols, wts, shift);
+    const TensorI32 packed =
+        testutil::tile_conv(qc.input.q, qc.weight.q, g.stride, g.pad,
+                            p.low_bits, /*digits=*/true);
     SCOPED_TRACE(g.str());
     for (std::int64_t j = 0; j < oracle.numel(); ++j) {
-      ASSERT_EQ(packed[j], oracle[j]);
+      ASSERT_EQ(packed[j] << shift, oracle[j]);
     }
   }
 }
 
-// The microkernel's accumulate type is pluggable; int64 and int32
-// instantiations must agree bit-for-bit while INT4-range products are far
-// from either type's headroom.
+// The tile accumulates in int32; against an int64 sum of the same products
+// it must agree bit-for-bit while products stay inside the depth budget.
 TEST(GemmDifferential, Int64AccumulatorAgreesWithInt32) {
   for (int i = 0; i < 10; ++i) {
     ODQ_PROP_CASE(c, i + 2000);
     const ConvGeom g = testprop::random_conv_geom(c.rng());
-    const testprop::QuantConvCase qc = testprop::random_quant_conv(c.rng(), g);
+    const testprop::QuantConvCase qc =
+        testprop::random_extreme_quant_conv(c.rng(), g, /*bits=*/7);
 
-    const PackedIm2col cols =
-        pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const PackedWeights wts = pack_weights_i8(qc.weight.q);
-    const TensorI32 i32 = gemm_conv_i8(cols, wts, 0);
-    std::vector<std::int64_t> i64(
-        static_cast<std::size_t>(cols.batches * wts.oc * cols.rows), 0);
-    gemm_conv_int<std::int64_t>(cols, wts, 0, i64.data());
+    const TensorI32 i32 =
+        testutil::tile_conv(qc.input.q, qc.weight.q, g.stride, g.pad);
+    const TensorI8 cols =
+        testutil::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
+    const std::int64_t k = g.c * g.k * g.k;
+    const std::int64_t rows = cols.shape()[2];
     SCOPED_TRACE(g.str());
-    for (std::int64_t j = 0; j < i32.numel(); ++j) {
-      ASSERT_EQ(static_cast<std::int64_t>(i32[j]),
-                i64[static_cast<std::size_t>(j)]);
+    for (std::int64_t b = 0; b < g.n; ++b) {
+      for (std::int64_t f = 0; f < g.oc; ++f) {
+        for (std::int64_t r = 0; r < rows; ++r) {
+          std::int64_t s = 0;
+          for (std::int64_t p = 0; p < k; ++p) {
+            s += static_cast<std::int64_t>(cols[(b * k + p) * rows + r]) *
+                 qc.weight.q[f * k + p];
+          }
+          ASSERT_EQ(static_cast<std::int64_t>(i32[(b * g.oc + f) * rows + r]),
+                    s);
+        }
+      }
     }
   }
 }
@@ -129,7 +144,7 @@ TEST(GemmDifferential, FloatGemmMatchesDirectConvBitwise) {
   }
 }
 
-// --- Whole-pipeline ODQ: packed path vs the serial direct reference -------
+// --- Whole-pipeline ODQ: fused tiles vs the serial direct reference ------
 
 void expect_odq_bitwise_equal(const core::OdqConvResult& ref,
                               const core::OdqConvResult& par) {
@@ -141,7 +156,6 @@ void expect_odq_bitwise_equal(const core::OdqConvResult& ref,
     ASSERT_EQ(ref.mask[i], par.mask[i]) << "mask diverges at " << i;
   }
   ASSERT_EQ(ref.sensitive_per_channel, par.sensitive_per_channel);
-  ASSERT_EQ(ref.sensitive_lists.lists, par.sensitive_lists.lists);
   EXPECT_FLOAT_EQ(ref.scale, par.scale);
   EXPECT_EQ(ref.stats.sensitive, par.stats.sensitive);
   EXPECT_EQ(ref.stats.predictor_macs, par.stats.predictor_macs);
@@ -191,13 +205,13 @@ TEST(GemmDifferential, OdqThresholdExtremes) {
     }
 
     // Huge threshold: nothing sensitive -> predictor-only accumulators and
-    // empty compacted lists.
+    // an empty mask.
     core::OdqConfig none;
     none.threshold = 1e30f;
     const core::OdqConvResult r_none =
         core::odq_conv(qc.input, qc.weight, g.stride, g.pad, none);
     ASSERT_EQ(r_none.stats.sensitive, 0);
-    ASSERT_EQ(r_none.sensitive_lists.total(), 0);
+    ASSERT_EQ(popcount(r_none.mask), 0);
     ASSERT_EQ(r_none.stats.executor_macs, 0);
     for (std::int64_t j = 0; j < r_none.acc.numel(); ++j) {
       ASSERT_EQ(r_none.acc[j], r_none.predictor_acc[j]);
@@ -205,8 +219,10 @@ TEST(GemmDifferential, OdqThresholdExtremes) {
   }
 }
 
-// --- Pack -> unpack round-trip fuzzing ------------------------------------
+// --- Tile packer fuzzing --------------------------------------------------
 
+// Packed tile rows are the im2col oracle's columns, whatever row tile they
+// start at; the depth padding reads zero even over a dirty scratch.
 TEST(GemmRoundTrip, PackedIm2colUnpacksToReferenceIm2col) {
   for (int i = 0; i < 25; ++i) {
     ODQ_PROP_CASE(c, i + 6000);
@@ -215,51 +231,52 @@ TEST(GemmRoundTrip, PackedIm2colUnpacksToReferenceIm2col) {
 
     const TensorI8 oracle =
         testutil::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const PackedIm2col packed =
-        pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const TensorI8 unpacked = unpack_im2col_i8(packed, g.c, g.k, g.k);
-    SCOPED_TRACE(g.str());
-    ASSERT_EQ(unpacked.shape(), oracle.shape());
-    for (std::int64_t j = 0; j < oracle.numel(); ++j) {
-      ASSERT_EQ(unpacked[j], oracle[j]) << "im2col diverges at " << j;
-    }
-    // Depth padding must be exact zeros (invisible to any dot product).
-    for (std::int64_t b = 0; b < packed.batches; ++b) {
-      for (std::int64_t r = 0; r < packed.rows; ++r) {
-        const std::int8_t* row = packed.row(b, r);
-        for (std::int64_t p = packed.k; p < packed.k_padded; ++p) {
-          ASSERT_EQ(row[p], 0);
+    const ConvShape shape{g.c, g.h, g.w, g.k, g.k, g.stride, g.pad};
+    const std::int64_t k = g.c * g.k * g.k;
+    const std::int64_t kp = pad_k(k);
+    const std::int64_t rows = oracle.shape()[2];
+    const std::int64_t r0 = c.rng().uniform_int(0, static_cast<int>(rows - 1));
+    const std::int64_t r1 =
+        c.rng().uniform_int(static_cast<int>(r0 + 1), static_cast<int>(rows));
+    SCOPED_TRACE(g.str() + " rows [" + std::to_string(r0) + ", " +
+                 std::to_string(r1) + ")");
+    for (std::int64_t b = 0; b < g.n; ++b) {
+      std::vector<std::uint8_t> tile(static_cast<std::size_t>((r1 - r0) * kp),
+                                     0xA5);
+      pack_tile_rows(shape, qc.input.q.data() + b * g.c * g.h * g.w, r0, r1,
+                     kp, tile.data());
+      for (std::int64_t r = r0; r < r1; ++r) {
+        const std::uint8_t* row = tile.data() + (r - r0) * kp;
+        for (std::int64_t p = 0; p < k; ++p) {
+          ASSERT_EQ(row[p], static_cast<std::uint8_t>(
+                                oracle[(b * k + p) * rows + r]))
+              << "im2col diverges at row " << r << " tap " << p;
         }
+        // Depth padding must be exact zeros (invisible to any dot product).
+        for (std::int64_t p = k; p < kp; ++p) ASSERT_EQ(row[p], 0);
       }
     }
   }
 }
 
+// The high-digit panel is quant::high_part of the full-code panel, so the
+// two recompose to the codes with the low digits.
 TEST(GemmRoundTrip, DigitSplitPackRecomposesToFullCodes) {
   for (int i = 0; i < 25; ++i) {
     ODQ_PROP_CASE(c, i + 7000);
     const ConvGeom g = testprop::random_conv_geom(c.rng());
     const testprop::Precision p = testprop::random_precision(c.rng());
     const testprop::QuantConvCase qc =
-        testprop::random_quant_conv(c.rng(), g, p.total_bits);
+        testprop::random_extreme_quant_conv(c.rng(), g, p.total_bits);
 
-    const TensorI8 oracle =
-        testutil::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const PackedSplitIm2col split =
-        pack_im2col_split(qc.input.q, p.low_bits, g.k, g.k, g.stride, g.pad);
-    const TensorI8 recomposed =
-        unpack_im2col_split(split, g.c, g.k, g.k);
+    const TilePanels panels = pack_tile_panels(qc.weight.q, p.low_bits);
     SCOPED_TRACE(g.str() + " lb=" + std::to_string(p.low_bits));
-    for (std::int64_t j = 0; j < oracle.numel(); ++j) {
-      ASSERT_EQ(recomposed[j], oracle[j]) << "recomposed code diverges at "
-                                          << j;
-    }
-    // The digit planes themselves must be high_part/low_part of the codes.
-    const TensorI8 hi = unpack_im2col_i8(split.high, g.c, g.k, g.k);
-    const TensorI8 lo = unpack_im2col_i8(split.low, g.c, g.k, g.k);
-    for (std::int64_t j = 0; j < oracle.numel(); ++j) {
-      ASSERT_EQ(hi[j], quant::high_part(oracle[j], p.low_bits));
-      ASSERT_EQ(lo[j], quant::low_part(oracle[j], p.low_bits));
+    for (std::size_t j = 0; j < panels.full.size(); ++j) {
+      const std::int8_t v = panels.full[j];
+      ASSERT_EQ(panels.high[j], quant::high_part(v, p.low_bits));
+      ASSERT_EQ(quant::recompose(panels.high[j],
+                                 quant::low_part(v, p.low_bits), p.low_bits),
+                v);
     }
   }
 }
@@ -272,44 +289,48 @@ TEST(GemmRoundTrip, WeightPanelRoundTrips) {
     const testprop::QuantConvCase qc =
         testprop::random_quant_conv(c.rng(), g, p.total_bits);
 
-    const PackedWeights wts = pack_weights_i8(qc.weight.q);
-    const PackedSplitWeights split = pack_weights_split(qc.weight.q,
-                                                        p.low_bits);
-    ASSERT_EQ(wts.oc, g.oc);
-    ASSERT_EQ(wts.k, g.c * g.k * g.k);
-    for (std::int64_t f = 0; f < wts.oc; ++f) {
-      const std::int8_t* row = wts.row(f);
-      const std::int8_t* hi = split.high.row(f);
-      const std::int8_t* lo = split.low.row(f);
-      for (std::int64_t pcol = 0; pcol < wts.k; ++pcol) {
-        const std::int8_t v = qc.weight.q[f * wts.k + pcol];
-        ASSERT_EQ(row[pcol], v);
+    const TilePanels panels = pack_tile_panels(qc.weight.q, p.low_bits);
+    ASSERT_EQ(panels.oc, g.oc);
+    ASSERT_EQ(panels.oc_padded % simd::kTileFilters, 0);
+    ASSERT_EQ(panels.k, g.c * g.k * g.k);
+    ASSERT_EQ(panels.k_padded, pad_k(panels.k));
+    for (std::int64_t f = 0; f < panels.oc_padded; ++f) {
+      const std::int8_t* hi = panels.high.data() + f * panels.k_padded;
+      const std::int8_t* full = panels.full.data() + f * panels.k_padded;
+      for (std::int64_t pcol = 0; pcol < panels.k_padded; ++pcol) {
+        if (f >= panels.oc || pcol >= panels.k) {
+          // Depth padding and pad filters are zero.
+          ASSERT_EQ(full[pcol], 0);
+          ASSERT_EQ(hi[pcol], 0);
+          continue;
+        }
+        const std::int8_t v = qc.weight.q[f * panels.k + pcol];
+        ASSERT_EQ(full[pcol], v);
         ASSERT_EQ(hi[pcol], quant::high_part(v, p.low_bits));
-        ASSERT_EQ(lo[pcol], quant::low_part(v, p.low_bits));
-        ASSERT_EQ(quant::recompose(hi[pcol], lo[pcol], p.low_bits), v);
-      }
-      for (std::int64_t pcol = wts.k; pcol < wts.k_padded; ++pcol) {
-        ASSERT_EQ(row[pcol], 0);
-        ASSERT_EQ(hi[pcol], 0);
-        ASSERT_EQ(lo[pcol], 0);
       }
     }
   }
 }
 
 TEST(GemmPacking, RejectsBadGeometry) {
-  TensorI8 bad(Shape{2, 3, 4});  // not NCHW
-  EXPECT_THROW(pack_im2col_i8(bad, 3, 3, 1, 1), std::invalid_argument);
-  TensorI8 img(Shape{1, 2, 4, 4});
-  EXPECT_THROW(pack_im2col_i8(img, 7, 7, 1, 0), std::invalid_argument);
   TensorI8 w(Shape{3, 2, 3});  // not OIHW
-  EXPECT_THROW(pack_weights_i8(w), std::invalid_argument);
-  // Mismatched operand depths must be rejected by the kernel.
-  TensorI8 in(Shape{1, 2, 5, 5});
-  TensorI8 wt(Shape{2, 3, 3, 3});
-  const PackedIm2col cols = pack_im2col_i8(in, 3, 3, 1, 1);
-  const PackedWeights wts = pack_weights_i8(wt);
-  EXPECT_THROW(gemm_conv_i8(cols, wts, 0), std::invalid_argument);
+  EXPECT_THROW(pack_tile_panels(w, 2), std::invalid_argument);
+  // A kernel larger than the padded input, and mismatched operand depths,
+  // are rejected by the fused conv before any tile runs.
+  QTensor img;
+  img.q = TensorI8(Shape{1, 2, 4, 4});
+  img.bits = 4;
+  img.is_signed = false;
+  QTensor big;
+  big.q = TensorI8(Shape{2, 2, 7, 7});
+  big.bits = 4;
+  EXPECT_THROW(core::odq_conv(img, big, 1, 0, core::OdqConfig{}),
+               std::invalid_argument);
+  QTensor deep;
+  deep.q = TensorI8(Shape{2, 3, 3, 3});
+  deep.bits = 4;
+  EXPECT_THROW(core::odq_conv(img, deep, 1, 1, core::OdqConfig{}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
 // Randomized SIMD-vs-scalar differential suite: ~200 seeded cases asserting
 // that every available vector backend produces results bitwise identical to
-// the scalar kernels through the packed-GEMM paths — accumulators, layer
-// stats MAC counters, masks, and compacted sensitive lists. Operands lean on
-// saturating codes (tests/common/proptest.hpp random_extreme_*) because
-// those expose widen/saturate mistakes plain quantized floats almost never
-// reach. Every case prints a replay line on failure.
+// the scalar kernels through the fused ODQ conv and the tile kernels —
+// accumulators, layer stats MAC counters, masks, per-channel counts.
+// Operands lean on saturating codes (tests/common/proptest.hpp
+// random_extreme_*) because those expose widen/saturate mistakes plain
+// quantized floats almost never reach. Every case prints a replay line on
+// failure.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "common/proptest.hpp"
+#include "common/tile_conv.hpp"
 #include "core/odq.hpp"
-#include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
+#include "quant/quantizer.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/tensor.hpp"
 
@@ -55,15 +56,14 @@ void expect_odq_bitwise_equal(const core::OdqConvResult& ref,
         << backend << ": mask diverges at " << i;
   }
   ASSERT_EQ(ref.sensitive_per_channel, got.sensitive_per_channel) << backend;
-  ASSERT_EQ(ref.sensitive_lists.lists, got.sensitive_lists.lists) << backend;
   ASSERT_EQ(ref.stats.sensitive, got.stats.sensitive) << backend;
   ASSERT_EQ(ref.stats.predictor_macs, got.stats.predictor_macs) << backend;
   ASSERT_EQ(ref.stats.executor_macs, got.stats.executor_macs) << backend;
 }
 
-// Whole ODQ pipeline (predictor GEMM + sparse Eq. (3) epilogue) under each
-// vector backend vs the scalar kernels, saturating codes and all supported
-// precisions. 120 cases.
+// Whole ODQ pipeline (predictor tile + threshold + Eq. (3) remainder) under
+// each vector backend vs the scalar kernels, saturating codes and all
+// supported precisions. 120 cases.
 TEST(SimdProperty, OdqPipelineBitwiseEqualAcrossBackends) {
   const std::vector<Backend> vecs = vector_backends();
   for (int i = 0; i < 120; ++i) {
@@ -95,27 +95,28 @@ TEST(SimdProperty, OdqPipelineBitwiseEqualAcrossBackends) {
   }
 }
 
-// Bare packed INT-GEMM (the predictor kernel) across backends. 60 cases.
+// Bare tile kernels (full codes and in-register high digits) across
+// backends, on saturating 7-bit codes. 60 cases.
 TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
   const std::vector<Backend> vecs = vector_backends();
   for (int i = 0; i < 60; ++i) {
     ODQ_PROP_CASE(c, i + 21000);
     const ConvGeom g = testprop::random_conv_geom(c.rng());
     const testprop::QuantConvCase qc =
-        testprop::random_extreme_quant_conv(c.rng(), g, /*bits=*/8);
-
-    const gemm::PackedIm2col cols =
-        gemm::pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const gemm::PackedWeights wts = gemm::pack_weights_i8(qc.weight.q);
-    const int shift = c.rng().uniform_int(0, 6);
-    SCOPED_TRACE(g.str() + " shift=" + std::to_string(shift));
+        testprop::random_extreme_quant_conv(c.rng(), g, /*bits=*/7);
+    const int low_bits = c.rng().uniform_int(0, 6);
+    const bool digits = c.rng().bernoulli(0.5);
+    SCOPED_TRACE(g.str() + " low_bits=" + std::to_string(low_bits) +
+                 (digits ? " digits" : " full"));
 
     const TensorI32 ref = with_backend(Backend::kScalar, [&] {
-      return gemm::gemm_conv_i8(cols, wts, shift);
+      return testutil::tile_conv(qc.input.q, qc.weight.q, g.stride, g.pad,
+                                 low_bits, digits);
     });
     for (const Backend b : vecs) {
       const TensorI32 got = with_backend(b, [&] {
-        return gemm::gemm_conv_i8(cols, wts, shift);
+        return testutil::tile_conv(qc.input.q, qc.weight.q, g.stride, g.pad,
+                                   low_bits, digits);
       });
       SCOPED_TRACE(backend_name(b));
       ASSERT_EQ(ref.vec(), got.vec());
@@ -123,36 +124,33 @@ TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
   }
 }
 
-// The int64-accumulator instantiation across backends (the acc64 kernels
-// share no code with the int32 ones). 20 cases.
-TEST(SimdProperty, Int64AccumulatorBitwiseEqualAcrossBackends) {
-  const std::vector<Backend> vecs = vector_backends();
-  for (int i = 0; i < 20; ++i) {
-    ODQ_PROP_CASE(c, i + 22000);
+// Saturating codes at the narrowest and the widest precision the integer
+// kernels accept (4 and 7 bits; 7-bit codes reach the maddubs budget's 127)
+// match the direct reference bitwise on every backend, scalar included.
+TEST(SimdProperty, ExtremeCodesMatchReferenceOnEveryBackend) {
+  for (int i = 0; i < 40; ++i) {
+    ODQ_PROP_CASE(c, i + 23000);
     const ConvGeom g = testprop::random_conv_geom(c.rng());
+    const int bits = i % 2 == 0 ? 4 : 7;
     const testprop::QuantConvCase qc =
-        testprop::random_extreme_quant_conv(c.rng(), g, /*bits=*/8);
+        testprop::random_extreme_quant_conv(c.rng(), g, bits);
+    core::OdqConfig cfg;
+    cfg.total_bits = bits;
+    cfg.low_bits = bits == 4 ? 2 : 3;
+    cfg.threshold = testprop::random_threshold(c.rng());
+    core::OdqConfig serial = cfg;
+    serial.num_threads = 1;
+    SCOPED_TRACE(g.str() + " bits=" + std::to_string(bits) +
+                 " thr=" + std::to_string(cfg.threshold));
 
-    const gemm::PackedIm2col cols =
-        gemm::pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const gemm::PackedWeights wts = gemm::pack_weights_i8(qc.weight.q);
-    const std::size_t n = static_cast<std::size_t>(
-        cols.batches * wts.oc * cols.rows);
-    SCOPED_TRACE(g.str());
-
-    std::vector<std::int64_t> ref(n, 0);
-    with_backend(Backend::kScalar, [&] {
-      gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, ref.data());
-      return 0;
-    });
-    for (const Backend b : vecs) {
-      std::vector<std::int64_t> got(n, 0);
-      with_backend(b, [&] {
-        gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, got.data());
-        return 0;
+    const core::OdqConvResult ref =
+        core::odq_conv(qc.input, qc.weight, g.stride, g.pad, serial);
+    for (const Backend b : kAllBackends) {
+      if (!backend_available(b)) continue;
+      const core::OdqConvResult got = with_backend(b, [&] {
+        return core::odq_conv(qc.input, qc.weight, g.stride, g.pad, cfg);
       });
-      SCOPED_TRACE(backend_name(b));
-      ASSERT_EQ(ref, got);
+      expect_odq_bitwise_equal(ref, got, backend_name(b));
     }
   }
 }

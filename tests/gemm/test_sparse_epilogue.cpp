@@ -1,8 +1,9 @@
-// Golden regression for the mask-aware sparse epilogue: the compacted
-// per-tile sensitive-index lists must agree exactly with every other view
-// of sensitivity the library exposes — the bit mask, the per-channel
-// counters, and the per-layer `sensitive` counter OdqConvExecutor's
-// layer_stats() accumulates (the number odq_profile reports).
+// Golden regression for the fused conv's sensitivity bookkeeping: the bit
+// mask must agree exactly with every other view of sensitivity the library
+// exposes — the per-channel counters, the conv's `sensitive` counter, and
+// the per-layer counter OdqConvExecutor's layer_stats() accumulates (the
+// number odq_profile reports) — and the executor MACs with the analytic
+// in-bounds tap count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +11,7 @@
 
 #include "common/proptest.hpp"
 #include "core/odq.hpp"
-#include "gemm/sparse_epilogue.hpp"
+#include "gemm/packed.hpp"
 #include "tensor/ops.hpp"
 
 namespace odq::gemm {
@@ -33,39 +34,8 @@ core::OdqConvResult random_odq_result(testprop::Case& c, ConvGeom& g,
   return core::odq_conv(qc.input, qc.weight, g.stride, g.pad, cfg);
 }
 
-// Lists vs mask: each (batch, channel) tile's list must be exactly the
-// ascending positions of the mask bits in that plane.
-TEST(SparseEpilogueGolden, ListsAreExactlyTheMaskPositions) {
-  for (int i = 0; i < 25; ++i) {
-    ODQ_PROP_CASE(c, i);
-    ConvGeom g;
-    core::OdqConfig cfg;
-    const core::OdqConvResult r = random_odq_result(c, g, cfg);
-    SCOPED_TRACE(g.str() + " thr=" + std::to_string(cfg.threshold));
-
-    const SensitiveLists& sl = r.sensitive_lists;
-    ASSERT_EQ(sl.batches, r.mask.shape()[0]);
-    ASSERT_EQ(sl.channels, r.mask.shape()[1]);
-    ASSERT_EQ(sl.rows, r.mask.shape()[2] * r.mask.shape()[3]);
-    ASSERT_EQ(static_cast<std::int64_t>(sl.lists.size()),
-              sl.batches * sl.channels);
-    for (std::int64_t b = 0; b < sl.batches; ++b) {
-      for (std::int64_t ch = 0; ch < sl.channels; ++ch) {
-        std::vector<std::int32_t> expect;
-        const std::uint8_t* m =
-            r.mask.data() + (b * sl.channels + ch) * sl.rows;
-        for (std::int64_t p = 0; p < sl.rows; ++p) {
-          if (m[p] != 0) expect.push_back(static_cast<std::int32_t>(p));
-        }
-        ASSERT_EQ(sl.tile(b, ch), expect)
-            << "tile (" << b << ", " << ch << ")";
-      }
-    }
-  }
-}
-
-// Lists vs counters: total() == stats.sensitive, and per-channel list sizes
-// (summed over batch) == sensitive_per_channel.
+// Mask vs counters: the mask popcount == stats.sensitive, and per-channel
+// mask sums (over batch and space) == sensitive_per_channel.
 TEST(SparseEpilogueGolden, ListTotalsMatchLayerCounters) {
   for (int i = 0; i < 25; ++i) {
     ODQ_PROP_CASE(c, i + 100);
@@ -74,28 +44,34 @@ TEST(SparseEpilogueGolden, ListTotalsMatchLayerCounters) {
     const core::OdqConvResult r = random_odq_result(c, g, cfg);
     SCOPED_TRACE(g.str() + " thr=" + std::to_string(cfg.threshold));
 
-    const SensitiveLists& sl = r.sensitive_lists;
-    ASSERT_EQ(sl.total(), r.stats.sensitive);
+    const std::int64_t n = r.mask.shape()[0];
+    const std::int64_t channels = r.mask.shape()[1];
+    const std::int64_t rows = r.mask.shape()[2] * r.mask.shape()[3];
     std::int64_t mask_pop = 0;
-    for (std::int64_t j = 0; j < r.mask.numel(); ++j) mask_pop += r.mask[j];
+    for (std::int64_t j = 0; j < r.mask.numel(); ++j) {
+      ASSERT_LE(r.mask[j], 1);
+      mask_pop += r.mask[j];
+    }
     ASSERT_EQ(mask_pop, r.stats.sensitive);
 
     ASSERT_EQ(static_cast<std::int64_t>(r.sensitive_per_channel.size()),
-              sl.channels);
-    for (std::int64_t ch = 0; ch < sl.channels; ++ch) {
-      std::int64_t n = 0;
-      for (std::int64_t b = 0; b < sl.batches; ++b) {
-        n += static_cast<std::int64_t>(sl.tile(b, ch).size());
+              channels);
+    for (std::int64_t ch = 0; ch < channels; ++ch) {
+      std::int64_t k = 0;
+      for (std::int64_t b = 0; b < n; ++b) {
+        for (std::int64_t p = 0; p < rows; ++p) {
+          k += r.mask[(b * channels + ch) * rows + p];
+        }
       }
-      ASSERT_EQ(n, r.sensitive_per_channel[static_cast<std::size_t>(ch)])
+      ASSERT_EQ(k, r.sensitive_per_channel[static_cast<std::size_t>(ch)])
           << "channel " << ch;
     }
   }
 }
 
-// Lists vs the executor: the per-layer `sensitive` counter layer_stats()
-// reports (what odq_profile prints) must equal the compacted list total of
-// the same conv run through the core API — same quantization helpers, same
+// Mask vs the executor: the per-layer `sensitive` counter layer_stats()
+// reports (what odq_profile prints) must equal the mask popcount of the
+// same conv run through the core API — same quantization helpers, same
 // deterministic pipeline.
 TEST(SparseEpilogueGolden, ExecutorLayerStatsMatchCompactedLists) {
   for (int i = 0; i < 10; ++i) {
@@ -120,12 +96,14 @@ TEST(SparseEpilogueGolden, ExecutorLayerStatsMatchCompactedLists) {
         core::odq_conv(qin, qw, g.stride, g.pad, cfg);
 
     SCOPED_TRACE(g.str() + " thr=" + std::to_string(cfg.threshold));
+    std::int64_t mask_pop = 0;
+    for (std::int64_t j = 0; j < r.mask.numel(); ++j) mask_pop += r.mask[j];
     ASSERT_EQ(ls.calls, 1);
-    ASSERT_EQ(ls.sensitive, r.sensitive_lists.total());
+    ASSERT_EQ(ls.sensitive, mask_pop);
     ASSERT_EQ(ls.outputs, r.stats.outputs);
     ASSERT_EQ(ls.executor_macs, r.stats.executor_macs);
     ASSERT_EQ(exec.last_sensitive_per_channel(0), r.sensitive_per_channel);
-    // The packed pipeline populated the phase breakdown odq_profile prints.
+    // The fused tiles populated the phase breakdown odq_profile prints.
     EXPECT_GE(ls.pack_seconds, 0.0);
     EXPECT_GE(ls.gemm_seconds, 0.0);
     EXPECT_GE(ls.sparse_epilogue_seconds, 0.0);
@@ -172,17 +150,19 @@ TEST(SparseEpilogueGolden, ThresholdExtremesShapeTheLists) {
   all.threshold = 0.0f;
   const core::OdqConvResult r_all =
       core::odq_conv(qc.input, qc.weight, g.stride, g.pad, all);
-  ASSERT_EQ(r_all.sensitive_lists.total(), r_all.stats.outputs);
-  for (const auto& l : r_all.sensitive_lists.lists) {
-    ASSERT_EQ(static_cast<std::int64_t>(l.size()), r_all.sensitive_lists.rows);
+  ASSERT_EQ(r_all.stats.sensitive, r_all.stats.outputs);
+  for (std::int64_t j = 0; j < r_all.mask.numel(); ++j) {
+    ASSERT_EQ(r_all.mask[j], 1);
   }
 
   core::OdqConfig none;
   none.threshold = 1e30f;
   const core::OdqConvResult r_none =
       core::odq_conv(qc.input, qc.weight, g.stride, g.pad, none);
-  ASSERT_EQ(r_none.sensitive_lists.total(), 0);
-  for (const auto& l : r_none.sensitive_lists.lists) ASSERT_TRUE(l.empty());
+  ASSERT_EQ(r_none.stats.sensitive, 0);
+  for (std::int64_t j = 0; j < r_none.mask.numel(); ++j) {
+    ASSERT_EQ(r_none.mask[j], 0);
+  }
 }
 
 }  // namespace

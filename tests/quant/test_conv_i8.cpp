@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/im2col_i8.hpp"
-#include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
+#include "common/tile_conv.hpp"
+#include "core/odq.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
@@ -72,14 +72,12 @@ TEST(ConvI8, BadOutputShapeThrows) {
   EXPECT_THROW(conv2d_i8_accum(in, w, 1, 1, 0, out), std::invalid_argument);
 }
 
-// The packed INT-GEMM core the ODQ executor runs: pack both operands, then
-// gemm_conv_i8. Integer accumulation is order-independent, so it must be
-// bit-identical to the direct conv2d_i8 at any tiling and pool size.
+// The tile packer and full-code tile kernel the ODQ conv runs. Integer
+// accumulation is order-independent, so it must be bit-identical to the
+// direct conv2d_i8 at any tiling.
 TensorI32 packed_conv(const TensorI8& in, const TensorI8& w,
                       std::int64_t stride, std::int64_t pad) {
-  return gemm::gemm_conv_i8(
-      gemm::pack_im2col_i8(in, w.shape()[2], w.shape()[3], stride, pad),
-      gemm::pack_weights_i8(w), /*shift=*/0);
+  return testutil::tile_conv(in, w, stride, pad);
 }
 
 TEST(ConvI8Fast, BitIdenticalToDirect) {
@@ -109,11 +107,17 @@ TEST(ConvI8Fast, OneByOneKernel) {
 }
 
 // The channel mismatch conv2d_i8 rejects (ChannelMismatchThrows) is
-// rejected by the packed core too, not read past the shorter panel.
+// rejected by the fused ODQ conv too, not read past the shorter panel.
 TEST(ConvI8Fast, RejectsBadShapes) {
-  TensorI8 in(Shape{1, 2, 4, 4});
-  TensorI8 w(Shape{1, 3, 3, 3});
-  EXPECT_THROW(packed_conv(in, w, 1, 1), std::invalid_argument);
+  QTensor in;
+  in.q = TensorI8(Shape{1, 2, 4, 4});
+  in.bits = 4;
+  in.is_signed = false;
+  QTensor w;
+  w.q = TensorI8(Shape{1, 3, 3, 3});
+  w.bits = 4;
+  EXPECT_THROW(core::odq_conv(in, w, 1, 1, core::OdqConfig{}),
+               std::invalid_argument);
 }
 
 // The int8 im2col oracle (tests/common) agrees with the float im2col.

@@ -1,19 +1,19 @@
 // Exhaustive differential sweep of the SIMD kernel layer (src/simd/) against
 // independent plain-loop oracles, run once per backend by forcing the
 // dispatcher in-process (ODQ_SIMD's set_backend hook) and skipping cleanly
-// where the CPU or build lacks the ISA.
+// where the CPU or build lacks the ISA. Every integer case also compares the
+// active backend with the scalar table directly.
 //
 // The sweeps target the classic SIMD failure modes:
-//   * lane boundaries — every logical depth K in [1, 2*kKTile+1], i.e.
-//     every possible residue against the 16-lane block, padded exactly the
-//     way gemm/packed.hpp pads,
-//   * saturating digit values at both signs — ±127/-128 full-code extremes
-//     and max-magnitude digit planes, the inputs a maddubs-style saturation
-//     or sign-extension mistake would corrupt,
-//   * tile straddles — out-channel counts around kOcTile and row counts
-//     around kRowTile through the full gemm_conv_int tiling,
-//   * zero-length and full-length compacted sensitive lists through
-//     sparse_result_generation,
+//   * lane boundaries — every logical depth K in [1, 2*kKTile+1], and every
+//     padded depth from 16 to 592, so each 32-byte step count runs with and
+//     without the 16-byte tail,
+//   * saturating codes — activation 127 against weight -128 and 127, the
+//     inputs a maddubs saturation or sign mistake would corrupt first,
+//     and the depth at the int32 budget (kMaxDotDepth),
+//   * block straddles — row and filter counts that are not multiples of the
+//     kTileRows x kTileFilters register block, through the fused conv too,
+//   * the threshold epilogue at every vector tail length,
 //   * for the activation quantizer, exact .5 ties, saturation and every
 //     vector tail length (see the quantize tests below).
 #include <gtest/gtest.h>
@@ -26,9 +26,8 @@
 #include <vector>
 
 #include "core/odq.hpp"
-#include "gemm/gemm.hpp"
 #include "gemm/packed.hpp"
-#include "gemm/sparse_epilogue.hpp"
+#include "quant/quantizer.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -37,44 +36,72 @@ namespace odq::simd {
 namespace {
 
 using gemm::kKTile;
-using gemm::kOcTile;
-using gemm::kRowTile;
 using gemm::pad_k;
 using tensor::Shape;
-using tensor::TensorI32;
-using tensor::TensorI8;
-using tensor::TensorU8;
 
 // --- Independent oracles (plain loops, no shared code with src/simd) ------
 
-std::int64_t oracle_dot(const std::int8_t* a, const std::int8_t* b,
-                        std::int64_t kp) {
+std::int64_t oracle_dot(const std::uint8_t* a, const std::int8_t* w,
+                        std::int64_t kp, int shift = 0) {
   std::int64_t s = 0;
   for (std::int64_t p = 0; p < kp; ++p) {
-    s += static_cast<std::int64_t>(a[p]) * b[p];
+    s += static_cast<std::int64_t>(a[p] >> shift) * w[p];
   }
   return s;
 }
 
-void oracle_split(const std::int8_t* ah, const std::int8_t* al,
-                  const std::int8_t* bh, const std::int8_t* bl,
-                  std::int64_t kp, std::int64_t* cross, std::int64_t* low) {
-  std::int64_t c = 0, l = 0;
-  for (std::int64_t p = 0; p < kp; ++p) {
-    c += static_cast<std::int64_t>(ah[p]) * bl[p] +
-         static_cast<std::int64_t>(al[p]) * bh[p];
-    l += static_cast<std::int64_t>(al[p]) * bl[p];
+// A depth-K operand padded to pad_k(K) with zeros, valid entries from `fill`.
+template <typename T, typename Fill>
+std::vector<T> padded_operand(std::int64_t k, Fill fill) {
+  std::vector<T> v(static_cast<std::size_t>(pad_k(k)), 0);
+  for (std::int64_t p = 0; p < k; ++p) {
+    v[static_cast<std::size_t>(p)] = static_cast<T>(fill(p));
   }
-  *cross = c;
-  *low = l;
+  return v;
 }
 
-// A depth-K operand padded to pad_k(K) with zeros, valid entries from `fill`.
-template <typename Fill>
-std::vector<std::int8_t> padded_operand(std::int64_t k, Fill fill) {
-  std::vector<std::int8_t> v(static_cast<std::size_t>(pad_k(k)), 0);
-  for (std::int64_t p = 0; p < k; ++p) v[static_cast<std::size_t>(p)] = fill(p);
-  return v;
+// Activation fills: codes in [0, 127], the range odq_conv admits.
+const std::vector<std::pair<const char*, int (*)(std::int64_t)>> kActFills = {
+    {"max", [](std::int64_t) { return 127; }},
+    {"zero", [](std::int64_t) { return 0; }},
+    {"alt", [](std::int64_t p) { return p % 2 == 0 ? 127 : 0; }},
+    {"ramp", [](std::int64_t p) { return static_cast<int>((p * 37) % 128); }}};
+// Weight fills: any signed byte.
+const std::vector<std::pair<const char*, int (*)(std::int64_t)>> kWeightFills =
+    {{"max+", [](std::int64_t) { return 127; }},
+     {"max-", [](std::int64_t) { return -128; }},
+     {"alt", [](std::int64_t p) { return p % 2 == 0 ? 127 : -128; }},
+     {"ramp",
+      [](std::int64_t p) { return static_cast<int>((p * 37) % 255 - 127); }}};
+
+// Runs the active tile kernel and the scalar one on the same operands and
+// checks both against the oracle for the `rows` x `filters` valid outputs of
+// a block-padded problem (padding rows and filters are zero, as the library
+// packs them).
+void expect_tile_matches(const std::vector<std::uint8_t>& a,
+                         std::int64_t rows, const std::vector<std::int8_t>& w,
+                         std::int64_t filters, std::int64_t kp, int shift) {
+  const std::int64_t rows_pad = gemm::round_up(rows, kTileRows);
+  const std::int64_t filters_pad = gemm::round_up(filters, kTileFilters);
+  ASSERT_GE(static_cast<std::int64_t>(a.size()), rows_pad * kp);
+  ASSERT_GE(static_cast<std::int64_t>(w.size()), filters_pad * kp);
+  std::vector<std::int32_t> got(
+      static_cast<std::size_t>(filters_pad * rows_pad));
+  std::vector<std::int32_t> ref(got.size());
+  active_kernels().tile_u8s8(a.data(), rows_pad, w.data(), filters_pad, kp,
+                             shift, got.data(), rows_pad);
+  scalar_kernels().tile_u8s8(a.data(), rows_pad, w.data(), filters_pad, kp,
+                             shift, ref.data(), rows_pad);
+  for (std::int64_t f = 0; f < filters; ++f) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const auto i = static_cast<std::size_t>(f * rows_pad + r);
+      const std::int64_t want =
+          oracle_dot(a.data() + r * kp, w.data() + f * kp, kp, shift);
+      ASSERT_EQ(got[i], static_cast<std::int32_t>(want))
+          << "r=" << r << " f=" << f;
+      ASSERT_EQ(got[i], ref[i]) << "vs scalar, r=" << r << " f=" << f;
+    }
+  }
 }
 
 // --- Per-backend fixture ---------------------------------------------------
@@ -105,170 +132,220 @@ TEST_P(SimdKernels, ActiveTableMatchesForcedBackend) {
   EXPECT_STREQ(active_kernels().name, backend_name(GetParam()));
 }
 
-// Every depth residue against the 16-lane block, against hostile fills:
-// full-code saturating extremes at both signs, alternating-sign patterns,
-// and seeded random codes.
+// The gathered full-code dot: every depth residue against the 16-lane
+// block, against hostile fills at both signs and seeded random codes.
 TEST_P(SimdKernels, DotMatchesOracleAcrossLaneBoundaryDepths) {
   const Kernels& kk = active_kernels();
   util::Rng rng(7);
-  const auto fills = std::vector<std::pair<const char*, std::int8_t (*)(
-                                                            std::int64_t)>>{
-      {"max+", [](std::int64_t) -> std::int8_t { return 127; }},
-      {"max-", [](std::int64_t) -> std::int8_t { return -128; }},
-      {"alt", [](std::int64_t p) -> std::int8_t {
-         return p % 2 == 0 ? std::int8_t{127} : std::int8_t{-128};
-       }},
-      {"ramp", [](std::int64_t p) -> std::int8_t {
-         return static_cast<std::int8_t>((p * 37) % 255 - 127);
-       }}};
   for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
-    for (const auto& [aname, afill] : fills) {
-      for (const auto& [bname, bfill] : fills) {
-        const auto a = padded_operand(k, afill);
-        const auto b = padded_operand(k, bfill);
-        const std::int64_t kp = pad_k(k);
-        const std::int64_t want = oracle_dot(a.data(), b.data(), kp);
+    const std::int64_t kp = pad_k(k);
+    for (const auto& [aname, afill] : kActFills) {
+      for (const auto& [wname, wfill] : kWeightFills) {
+        const auto a = padded_operand<std::uint8_t>(k, afill);
+        const auto w = padded_operand<std::int8_t>(k, wfill);
         SCOPED_TRACE(std::string("K=") + std::to_string(k) + " a=" + aname +
-                     " b=" + bname);
-        ASSERT_EQ(kk.dot_i8(a.data(), b.data(), kp),
+                     " w=" + wname);
+        const std::int64_t want = oracle_dot(a.data(), w.data(), kp);
+        ASSERT_EQ(kk.dot_u8s8(a.data(), w.data(), kp),
                   static_cast<std::int32_t>(want));
-        ASSERT_EQ(kk.dot_i8_acc64(a.data(), b.data(), kp), want);
       }
     }
     // Seeded random codes on top of the deterministic corner fills.
     for (int rep = 0; rep < 4; ++rep) {
-      const auto a = padded_operand(k, [&](std::int64_t) {
-        return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-      });
-      const auto b = padded_operand(k, [&](std::int64_t) {
-        return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-      });
-      const std::int64_t kp = pad_k(k);
-      const std::int64_t want = oracle_dot(a.data(), b.data(), kp);
+      const auto a = padded_operand<std::uint8_t>(
+          k, [&](std::int64_t) { return rng.uniform_int(0, 127); });
+      const auto w = padded_operand<std::int8_t>(
+          k, [&](std::int64_t) { return rng.uniform_int(-128, 127); });
       SCOPED_TRACE("K=" + std::to_string(k) + " random rep " +
                    std::to_string(rep));
-      ASSERT_EQ(kk.dot_i8(a.data(), b.data(), kp),
+      const std::int64_t want = oracle_dot(a.data(), w.data(), kp);
+      ASSERT_EQ(kk.dot_u8s8(a.data(), w.data(), kp),
                 static_cast<std::int32_t>(want));
-      ASSERT_EQ(kk.dot_i8_acc64(a.data(), b.data(), kp), want);
     }
   }
 }
 
-// The Eq. (3) epilogue pair over digit planes: max-magnitude digits at both
-// signs (the widest spread any (total_bits, low_bits) combo produces) plus
-// random digit values, across every lane-boundary depth.
+// The predictor form of the tile: activation high digits taken in register
+// (every shift a low_bits split uses) against signed digit weights, across
+// every lane-boundary depth.
 TEST_P(SimdKernels, SplitDotMatchesOracleAcrossLaneBoundaryDepths) {
-  const Kernels& kk = active_kernels();
   util::Rng rng(11);
   for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
     const std::int64_t kp = pad_k(k);
-    for (int rep = 0; rep < 8; ++rep) {
-      // Digit ranges for low_bits = 3 on 8-bit codes — the widest this
-      // library produces: high in [-16, 15], low in [0, 7]. rep 0 pins all
-      // four planes to their extreme corners.
-      auto digit = [&](int lo, int hi) {
-        return padded_operand(k, [&, lo, hi](std::int64_t p) {
-          if (rep == 0) return static_cast<std::int8_t>(p % 2 == 0 ? hi : lo);
-          return static_cast<std::int8_t>(rng.uniform_int(lo, hi));
-        });
-      };
-      const auto ah = digit(0, 31);    // unsigned activation high digits
-      const auto al = digit(0, 7);
-      const auto bh = digit(-16, 15);  // signed weight high digits
-      const auto bl = digit(0, 7);
-      std::int64_t want_cross = 0, want_low = 0;
-      oracle_split(ah.data(), al.data(), bh.data(), bl.data(), kp,
-                   &want_cross, &want_low);
-      std::int32_t cross = 0, low = 0;
-      kk.dot_i8_split(ah.data(), al.data(), bh.data(), bl.data(), kp, &cross,
-                      &low);
-      SCOPED_TRACE("K=" + std::to_string(k) + " rep " + std::to_string(rep));
-      ASSERT_EQ(cross, static_cast<std::int32_t>(want_cross));
-      ASSERT_EQ(low, static_cast<std::int32_t>(want_low));
+    for (int shift = 1; shift <= 3; ++shift) {
+      for (int rep = 0; rep < 4; ++rep) {
+        // rep 0 pins the activations to 127 and the weights to the widest
+        // digit range of a 7-bit split at both signs.
+        // Taps past K stay zero in both operands, as the packers leave them.
+        const auto a = padded_operand<std::uint8_t>(
+            kTileRows * kp, [&](std::int64_t p) {
+              if (p % kp >= k) return 0;
+              return rep == 0 ? 127 - static_cast<int>(p % 2)
+                              : rng.uniform_int(0, 127);
+            });
+        const auto w = padded_operand<std::int8_t>(
+            kTileFilters * kp, [&](std::int64_t p) {
+              if (p % kp >= k) return 0;
+              return rep == 0 ? (p % 2 == 0 ? -16 : 15)
+                              : rng.uniform_int(-16, 15);
+            });
+        SCOPED_TRACE("K=" + std::to_string(k) + " shift=" +
+                     std::to_string(shift) + " rep " + std::to_string(rep));
+        expect_tile_matches(a, kTileRows, w, kTileFilters, kp, shift);
+      }
     }
   }
 }
 
-// The acc64 kernel must stay exact where an int32 sum would wrap: a
-// constant-extreme dot long enough to overflow int32 (depth 2^18 of
-// 127 * 127 is ~4.2e9 > 2^31).
-TEST_P(SimdKernels, Acc64StaysExactPastInt32Headroom) {
-  const Kernels& kk = active_kernels();
-  const std::int64_t kp = std::int64_t{1} << 18;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(kp), 127);
-  std::vector<std::int8_t> b(static_cast<std::size_t>(kp), 127);
-  const std::int64_t want = kp * 127 * 127;
-  ASSERT_GT(want, std::int64_t{1} << 31);
-  EXPECT_EQ(kk.dot_i8_acc64(a.data(), b.data(), kp), want);
+// Full-code and digit tiles at every padded depth from 16 to 592: each
+// 32-byte step count with and without the 16-byte tail, on every pair of
+// extreme fills, over two register blocks each way.
+TEST_P(SimdKernels, TileMatchesOracleAcrossDepths16To592) {
+  const std::int64_t rows = 2 * kTileRows, filters = 2 * kTileFilters;
+  for (std::int64_t kp = kKTile; kp <= 592; kp += kKTile) {
+    for (const auto& [aname, afill] : kActFills) {
+      for (const auto& [wname, wfill] : kWeightFills) {
+        // Rows and filters differ by a phase so no two share a pattern.
+        const auto a = padded_operand<std::uint8_t>(
+            rows * kp,
+            [&, f = afill](std::int64_t p) { return f(p + p / kp); });
+        const auto w = padded_operand<std::int8_t>(
+            filters * kp,
+            [&, f = wfill](std::int64_t p) { return f(p + 3 * (p / kp)); });
+        for (const int shift : {0, 2}) {
+          SCOPED_TRACE("kp=" + std::to_string(kp) + " a=" + aname +
+                       " w=" + wname + " shift=" + std::to_string(shift));
+          expect_tile_matches(a, rows, w, filters, kp, shift);
+        }
+      }
+    }
+  }
 }
 
-// The full tiled INT-GEMM across out-channel counts straddling kOcTile and
-// row counts straddling kRowTile, against a naive triple loop.
+// Row and filter counts that are not block multiples, padded with zero rows
+// and filters the way pack_tile_rows' callers and pack_tile_panels pad.
+TEST_P(SimdKernels, TileHandlesPartialBlocks) {
+  util::Rng rng(19);
+  const std::int64_t kp = 48;  // one 32-byte step plus the 16-byte tail
+  for (std::int64_t rows = 1; rows <= 2 * kTileRows + 1; ++rows) {
+    for (std::int64_t filters = 1; filters <= 2 * kTileFilters + 1;
+         ++filters) {
+      const std::int64_t rows_pad = gemm::round_up(rows, kTileRows);
+      const std::int64_t filters_pad = gemm::round_up(filters, kTileFilters);
+      std::vector<std::uint8_t> a(static_cast<std::size_t>(rows_pad * kp), 0);
+      std::vector<std::int8_t> w(static_cast<std::size_t>(filters_pad * kp), 0);
+      for (std::int64_t i = 0; i < rows * kp; ++i) {
+        a[static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(rng.uniform_int(0, 127));
+      }
+      for (std::int64_t i = 0; i < filters * kp; ++i) {
+        w[static_cast<std::size_t>(i)] =
+            static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+      }
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " filters=" + std::to_string(filters));
+      expect_tile_matches(a, rows, w, filters, kp, 0);
+      expect_tile_matches(a, rows, w, filters, kp, 2);
+    }
+  }
+}
+
+// At the depth budget, the most extreme products stay exact in int32:
+// kMaxDotDepth * 127 * -128 is the most negative sum any accepted operands
+// can reach.
+TEST_P(SimdKernels, TileStaysExactAtTheDepthBudget) {
+  const std::int64_t kp = kMaxDotDepth;
+  const std::vector<std::uint8_t> a(static_cast<std::size_t>(kTileRows * kp),
+                                    127);
+  std::vector<std::int8_t> w(static_cast<std::size_t>(kTileFilters * kp), -128);
+  std::fill(w.begin() + kp, w.end(), 127);
+  const std::int64_t low = kp * 127 * -128;
+  ASSERT_GE(low, std::int64_t{std::numeric_limits<std::int32_t>::min()});
+  std::vector<std::int32_t> c(
+      static_cast<std::size_t>(kTileRows * kTileFilters));
+  active_kernels().tile_u8s8(a.data(), kTileRows, w.data(), kTileFilters, kp,
+                             0, c.data(), kTileRows);
+  for (std::int64_t r = 0; r < kTileRows; ++r) {
+    EXPECT_EQ(c[static_cast<std::size_t>(r)], low);
+    EXPECT_EQ(c[static_cast<std::size_t>(kTileRows + r)], kp * 127 * 127);
+  }
+  EXPECT_EQ(active_kernels().dot_u8s8(a.data(), w.data(), kp), low);
+}
+
+// The threshold epilogue against a plain loop at every tail length, with
+// magnitudes on both sides of the threshold and every predictor shift.
+TEST_P(SimdKernels, ThresholdMatchesOracleAtEveryTail) {
+  util::Rng rng(29);
+  for (std::int64_t n = 0; n <= 33; ++n) {
+    for (const int lshift : {0, 2, 4, 6}) {
+      std::vector<std::int32_t> raw(static_cast<std::size_t>(n));
+      for (std::int32_t& v : raw) v = rng.uniform_int(-40000, 40000);
+      for (const float threshold : {0.0f, 1.0f, 37.5f, 1e30f}) {
+        const float scale = 1e-3f * static_cast<float>(1 << (6 - lshift));
+        std::vector<std::int32_t> pred(raw.size() + 8, -7), acc(pred);
+        std::vector<std::uint8_t> mask(raw.size() + 8, 0x55);
+        const std::int64_t count = active_kernels().threshold(
+            raw.data(), n, lshift, scale, threshold, pred.data(), acc.data(),
+            mask.data());
+        std::int64_t want_count = 0;
+        SCOPED_TRACE("n=" + std::to_string(n) + " lshift=" +
+                     std::to_string(lshift) + " thr=" +
+                     std::to_string(threshold));
+        for (std::int64_t i = 0; i < n; ++i) {
+          const std::int32_t p = raw[static_cast<std::size_t>(i)] << lshift;
+          const bool sens =
+              std::abs(static_cast<float>(p) * scale) >= threshold;
+          want_count += sens ? 1 : 0;
+          ASSERT_EQ(pred[static_cast<std::size_t>(i)], p);
+          ASSERT_EQ(acc[static_cast<std::size_t>(i)], p);
+          ASSERT_EQ(mask[static_cast<std::size_t>(i)], sens ? 1 : 0);
+        }
+        for (std::size_t i = static_cast<std::size_t>(n); i < mask.size();
+             ++i) {
+          ASSERT_EQ(mask[i], 0x55) << "wrote past n at " << i;
+          ASSERT_EQ(pred[i], -7) << "wrote past n at " << i;
+        }
+        ASSERT_EQ(count, want_count);
+      }
+    }
+  }
+}
+
+// The fused conv across row counts straddling the register block and the
+// task's row tile, and filter counts straddling the block, against the
+// direct reference.
 TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
   util::Rng rng(23);
-  const std::int64_t k = 24;  // kp = 32: one full block + one half block
-  for (const std::int64_t rows : {std::int64_t{1}, kRowTile - 1, kRowTile,
-                                  kRowTile + 1}) {
-    for (std::int64_t oc = 1; oc <= 2 * kOcTile + 1; ++oc) {
-      gemm::PackedIm2col cols;
-      cols.batches = 2;
-      cols.rows = rows;
-      cols.k = k;
-      cols.k_padded = pad_k(k);
-      cols.oh = rows;
-      cols.ow = 1;
-      cols.data.assign(
-          static_cast<std::size_t>(cols.batches * rows * cols.k_padded), 0);
-      gemm::PackedWeights wts;
-      wts.oc = oc;
-      wts.k = k;
-      wts.k_padded = pad_k(k);
-      wts.data.assign(static_cast<std::size_t>(oc * wts.k_padded), 0);
-      for (std::int64_t b = 0; b < cols.batches; ++b) {
-        for (std::int64_t r = 0; r < rows; ++r) {
-          std::int8_t* row = cols.row(b, r);
-          for (std::int64_t p = 0; p < k; ++p) {
-            row[p] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-          }
-        }
+  for (const std::int64_t rows : {1, 3, 4, 5, 31, 32, 33, 65}) {
+    for (std::int64_t oc = 1; oc <= 2 * kTileFilters + 1; ++oc) {
+      tensor::Tensor x(Shape{2, 3, rows, 1});
+      tensor::Tensor w(Shape{oc, 3, 1, 1});
+      for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform_f(0, 1);
+      for (std::int64_t i = 0; i < w.numel(); ++i) {
+        w[i] = rng.normal_f(0, 0.3f);
       }
-      for (std::int64_t f = 0; f < oc; ++f) {
-        std::int8_t* row = wts.row(f);
-        for (std::int64_t p = 0; p < k; ++p) {
-          row[p] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-        }
-      }
-
-      const int shift = 4;
-      const TensorI32 got = gemm::gemm_conv_i8(cols, wts, shift);
-      std::vector<std::int64_t> got64(
-          static_cast<std::size_t>(cols.batches * oc * rows), 0);
-      gemm::gemm_conv_int<std::int64_t>(cols, wts, shift, got64.data());
-
+      const quant::QTensor qin = quant::quantize_activations(x, 4);
+      const quant::QTensor qw = quant::quantize_weights(w, 4);
+      core::OdqConfig cfg;
+      cfg.threshold = 0.05f;
+      core::OdqConfig serial = cfg;
+      serial.num_threads = 1;
+      const core::OdqConvResult ref = core::odq_conv(qin, qw, 1, 0, serial);
+      const core::OdqConvResult got = core::odq_conv(qin, qw, 1, 0, cfg);
       SCOPED_TRACE("rows=" + std::to_string(rows) + " oc=" +
                    std::to_string(oc));
-      for (std::int64_t b = 0; b < cols.batches; ++b) {
-        for (std::int64_t f = 0; f < oc; ++f) {
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const std::int64_t want =
-                oracle_dot(cols.row(b, r), wts.row(f), cols.k_padded)
-                << shift;
-            const std::int64_t idx = (b * oc + f) * rows + r;
-            ASSERT_EQ(got[idx], static_cast<std::int32_t>(want))
-                << "b=" << b << " f=" << f << " r=" << r;
-            ASSERT_EQ(got64[static_cast<std::size_t>(idx)], want)
-                << "b=" << b << " f=" << f << " r=" << r;
-          }
-        }
-      }
+      ASSERT_EQ(ref.acc.vec(), got.acc.vec());
+      ASSERT_EQ(ref.predictor_acc.vec(), got.predictor_acc.vec());
+      ASSERT_EQ(ref.mask.vec(), got.mask.vec());
+      ASSERT_EQ(ref.stats.executor_macs, got.stats.executor_macs);
     }
   }
 }
 
 // Whole-pipeline ODQ against the direct-conv serial reference (an oracle
-// that shares no code with the packed/SIMD path), at both threshold
-// extremes: zero-length compacted lists (nothing sensitive) and full-length
-// lists (everything sensitive), plus a mid threshold for partial lists.
+// that shares no code with the tiled/SIMD path), at both threshold
+// extremes: nothing sensitive and everything sensitive, plus a mid
+// threshold for a partial mask.
 TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
   util::Rng rng(31);
   tensor::Tensor x(Shape{2, 3, 7, 7});
@@ -287,9 +364,9 @@ TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
     const core::OdqConvResult got = core::odq_conv(qin, qw, 1, 1, cfg);
     SCOPED_TRACE("threshold=" + std::to_string(threshold));
     if (threshold == 0.0f) {
-      ASSERT_EQ(got.stats.sensitive, got.stats.outputs);  // full lists
+      ASSERT_EQ(got.stats.sensitive, got.stats.outputs);  // full mask
     } else if (threshold == 1e30f) {
-      ASSERT_EQ(got.sensitive_lists.total(), 0);  // zero-length lists
+      ASSERT_EQ(got.stats.sensitive, 0);  // empty mask
       ASSERT_EQ(got.stats.executor_macs, 0);
     }
     ASSERT_EQ(ref.acc.shape(), got.acc.shape());
@@ -298,7 +375,6 @@ TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
       ASSERT_EQ(ref.predictor_acc[i], got.predictor_acc[i]);
       ASSERT_EQ(ref.mask[i], got.mask[i]);
     }
-    ASSERT_EQ(ref.sensitive_lists.lists, got.sensitive_lists.lists);
     ASSERT_EQ(ref.sensitive_per_channel, got.sensitive_per_channel);
     ASSERT_EQ(ref.stats.sensitive, got.stats.sensitive);
     ASSERT_EQ(ref.stats.predictor_macs, got.stats.predictor_macs);
@@ -465,19 +541,19 @@ TEST(SimdDispatch, UnavailableBackendRefusedWithoutSideEffects) {
 
 TEST(SimdDispatch, DepthBudgetEnforced) {
   // A depth beyond the int32 accumulator budget must be rejected up front,
-  // not silently wrapped (kMaxDotDepth is ~1M taps; no real layer is near).
-  gemm::PackedIm2col cols;
-  cols.batches = 1;
-  cols.rows = 1;
-  cols.k = kMaxDotDepth + 1;
-  cols.k_padded = pad_k(cols.k);
-  cols.oh = cols.ow = 1;
-  gemm::PackedWeights wts;
-  wts.oc = 1;
-  wts.k = cols.k;
-  wts.k_padded = cols.k_padded;
-  // No data allocation needed: the depth check precedes any dereference.
-  EXPECT_THROW(gemm::gemm_conv_i8(cols, wts, 0), std::invalid_argument);
+  // not silently wrapped (kMaxDotDepth is ~132k taps; no real layer is
+  // near): by the panel packer, and so by the fused conv.
+  tensor::TensorI8 deep(Shape{1, 1, 1, kMaxDotDepth + 1});
+  EXPECT_THROW(gemm::pack_tile_panels(deep, 2), std::invalid_argument);
+  quant::QTensor in;
+  in.q = tensor::TensorI8(Shape{1, 1, 1, kMaxDotDepth + 1});
+  in.bits = 4;
+  in.is_signed = false;
+  quant::QTensor w;
+  w.q = deep;
+  w.bits = 4;
+  EXPECT_THROW(core::odq_conv(in, w, 1, 0, core::OdqConfig{}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,26 +1,23 @@
-// Depth-padding regression: pack_k() rounds the im2col depth K up to the
-// kKTile quantum and the packers zero-fill the pad lanes. The SIMD kernels
-// multiply those lanes unconditionally (no tail handling), which is only
-// correct because every product has at least one zero factor. This test
-// deliberately breaks the "both operands zero-padded" redundancy — it
-// overwrites the pad lanes [k, k_padded) of ONE operand with non-zero
-// garbage while the other operand's pads stay zero — and asserts both the
-// predictor GEMM and the Eq. (3) sparse epilogue still produce bit-identical
-// accumulators, masks, compacted lists, and MAC counters, per backend. A
-// kernel that read past k_padded, mis-stepped blocks, or depended on both
-// pads being zero would fail here.
+// Depth-padding regression: pad_k() rounds the im2col depth K up to the
+// kKTile quantum, and the tile packer and the weight-panel packer zero-fill
+// the pad lanes. The SIMD kernels multiply those lanes unconditionally (no
+// tail handling), which is only correct because every product has at least
+// one zero factor. This test deliberately breaks the "both operands
+// zero-padded" redundancy — it overwrites the pad lanes [k, k_padded) of ONE
+// operand with non-zero garbage (the packed tile rows, or both weight
+// panels) while the other operand's pads stay zero — and asserts the
+// predictor tile, the full-code tile and the gathered dot all produce
+// bit-identical sums, per backend. A kernel that read past k_padded,
+// mis-stepped blocks, or depended on both pads being zero would fail here.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "gemm/gemm.hpp"
 #include "gemm/packed.hpp"
-#include "gemm/sparse_epilogue.hpp"
 #include "quant/quantizer.hpp"
 #include "simd/dispatch.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -28,67 +25,36 @@ namespace odq::simd {
 namespace {
 
 using tensor::Shape;
-using tensor::TensorI32;
-using tensor::TensorU8;
 
-struct PipelineOut {
-  TensorI32 pred;
-  TensorI32 acc;
-  TensorU8 mask;
-  std::vector<std::int64_t> per_channel;
-  gemm::SensitiveLists lists;
-  gemm::SparseEpilogueStats stats;
+struct TileOut {
+  std::vector<std::int32_t> predictor;  // high digits x high-digit panel
+  std::vector<std::int32_t> full;       // full codes x full-code panel
+  std::vector<std::int32_t> dots;       // one gathered dot per output
+
+  bool operator==(const TileOut& o) const {
+    return predictor == o.predictor && full == o.full && dots == o.dots;
+  }
 };
 
-PipelineOut run_packed(const gemm::PackedSplitIm2col& cols,
-                       const gemm::PackedSplitWeights& wts,
-                       const gemm::ConvShape& geom, float scale,
-                       float threshold) {
-  PipelineOut o;
-  o.pred = gemm::gemm_conv_i8(cols.high, wts.high, 2 * cols.low_bits);
-  o.acc = o.pred;
-  o.mask = TensorU8(o.pred.shape());
-  o.per_channel.assign(static_cast<std::size_t>(wts.high.oc), 0);
-  o.stats = gemm::sparse_result_generation(cols, wts, geom, o.pred, scale,
-                                           threshold, o.acc, o.mask,
-                                           o.per_channel, o.lists);
+TileOut run_tiles(const std::vector<std::uint8_t>& a, std::int64_t rows,
+                  const gemm::TilePanels& panels) {
+  const std::int64_t kp = panels.k_padded;
+  const std::int64_t ocp = panels.oc_padded;
+  const Kernels& kk = active_kernels();
+  TileOut o;
+  o.predictor.resize(static_cast<std::size_t>(ocp * rows));
+  o.full.resize(o.predictor.size());
+  kk.tile_u8s8(a.data(), rows, panels.high.data(), ocp, kp, panels.low_bits,
+               o.predictor.data(), rows);
+  kk.tile_u8s8(a.data(), rows, panels.full.data(), ocp, kp, 0, o.full.data(),
+               rows);
+  for (std::int64_t f = 0; f < ocp; ++f) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      o.dots.push_back(
+          kk.dot_u8s8(a.data() + r * kp, panels.full.data() + f * kp, kp));
+    }
+  }
   return o;
-}
-
-void expect_identical(const PipelineOut& clean, const PipelineOut& dirty) {
-  ASSERT_EQ(clean.pred.vec(), dirty.pred.vec());
-  ASSERT_EQ(clean.acc.vec(), dirty.acc.vec());
-  ASSERT_EQ(clean.mask.vec(), dirty.mask.vec());
-  ASSERT_EQ(clean.per_channel, dirty.per_channel);
-  ASSERT_EQ(clean.lists.lists, dirty.lists.lists);
-  ASSERT_EQ(clean.stats.sensitive, dirty.stats.sensitive);
-  ASSERT_EQ(clean.stats.executor_macs, dirty.stats.executor_macs);
-}
-
-// Overwrite the depth-pad lanes [k, k_padded) of both digit planes of a
-// packed im2col operand with non-zero garbage.
-void poison_cols(gemm::PackedSplitIm2col& cols) {
-  for (std::int64_t b = 0; b < cols.high.batches; ++b) {
-    for (std::int64_t r = 0; r < cols.high.rows; ++r) {
-      std::int8_t* h = cols.high.row(b, r);
-      std::int8_t* l = cols.low.row(b, r);
-      for (std::int64_t p = cols.high.k; p < cols.high.k_padded; ++p) {
-        h[p] = static_cast<std::int8_t>(0x5A);
-        l[p] = static_cast<std::int8_t>(-77);
-      }
-    }
-  }
-}
-
-void poison_weights(gemm::PackedSplitWeights& wts) {
-  for (std::int64_t f = 0; f < wts.high.oc; ++f) {
-    std::int8_t* h = wts.high.row(f);
-    std::int8_t* l = wts.low.row(f);
-    for (std::int64_t p = wts.high.k; p < wts.high.k_padded; ++p) {
-      h[p] = static_cast<std::int8_t>(-128);
-      l[p] = static_cast<std::int8_t>(127);
-    }
-  }
 }
 
 class SimdTailGuard : public ::testing::TestWithParam<Backend> {
@@ -113,74 +79,51 @@ INSTANTIATE_TEST_SUITE_P(Backends, SimdTailGuard,
                          });
 
 TEST_P(SimdTailGuard, GarbageBeyondValidDepthIsIgnoredIdentically) {
-  // 3x3x3 taps: K = 27, padded to 32 — five garbage lanes per row.
+  // 3x3x3 taps: K = 27, padded to 32 — five garbage lanes per row — and
+  // 5x3x3 taps: K = 45, padded to 48, so the 16-byte tail block carries
+  // garbage as well.
   util::Rng rng(41);
-  tensor::Tensor x(Shape{2, 3, 6, 6});
-  tensor::Tensor w(Shape{5, 3, 3, 3});
-  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform_f(0, 1);
-  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.3f);
-  const quant::QTensor qin = quant::quantize_activations(x, 4);
-  const quant::QTensor qw = quant::quantize_weights(w, 4);
-  const int lb = 2;
+  for (const std::int64_t c : {3, 5}) {
+    tensor::Tensor x(Shape{1, c, 6, 6});
+    tensor::Tensor w(Shape{5, c, 3, 3});
+    for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform_f(0, 1);
+    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.3f);
+    const quant::QTensor qin = quant::quantize_activations(x, 4);
+    const quant::QTensor qw = quant::quantize_weights(w, 4);
+    const gemm::TilePanels panels = gemm::pack_tile_panels(qw.q, 2);
+    const std::int64_t k = panels.k, kp = panels.k_padded;
+    ASSERT_GT(kp, k) << "no garbage region to exercise";
 
-  const gemm::PackedSplitIm2col cols =
-      gemm::pack_im2col_split(qin.q, lb, 3, 3, /*stride=*/1, /*pad=*/1);
-  const gemm::PackedSplitWeights wts = gemm::pack_weights_split(qw.q, lb);
-  ASSERT_EQ(cols.high.k, 27);
-  ASSERT_EQ(cols.high.k_padded, 32) << "no garbage region to exercise";
+    const gemm::ConvShape geom{c, 6, 6, 3, 3, /*stride=*/1, /*pad=*/1};
+    const std::int64_t rows = 36;  // 6x6 outputs, whole register blocks
+    ASSERT_EQ(rows % kTileRows, 0);
+    std::vector<std::uint8_t> a(static_cast<std::size_t>(rows * kp));
+    gemm::pack_tile_rows(geom, qin.q.data(), 0, rows, kp, a.data());
+    const TileOut clean = run_tiles(a, rows, panels);
+    SCOPED_TRACE("K=" + std::to_string(k));
 
-  const gemm::ConvShape geom{3, 6, 6, 3, 3, 1, 1};
-  const float scale = qin.scale * qw.scale;
-
-  // Threshold 0 runs the epilogue over every output; the median predictor
-  // magnitude gives a genuinely partial list (clean run sanity-checked).
-  const PipelineOut probe = run_packed(cols, wts, geom, scale, 0.0f);
-  std::vector<float> mags;
-  mags.reserve(static_cast<std::size_t>(probe.pred.numel()));
-  for (std::int64_t i = 0; i < probe.pred.numel(); ++i) {
-    mags.push_back(std::abs(static_cast<float>(probe.pred[i]) * scale));
-  }
-  std::nth_element(mags.begin(), mags.begin() + mags.size() / 2, mags.end());
-  const float mid = mags[mags.size() / 2];
-
-  for (const float threshold : {0.0f, mid}) {
-    SCOPED_TRACE("threshold=" + std::to_string(threshold));
-    const PipelineOut clean = run_packed(cols, wts, geom, scale, threshold);
-    if (threshold == 0.0f) {
-      ASSERT_EQ(clean.stats.sensitive, clean.pred.numel());
-    } else {
-      ASSERT_GT(clean.stats.sensitive, 0);
-      ASSERT_LT(clean.stats.sensitive, clean.pred.numel());
-    }
-
-    // Case 1: garbage in the activation pads, weight pads still zero.
+    // Case 1: garbage in the tile scratch's pad lanes, weight pads zero.
     {
-      gemm::PackedSplitIm2col dirty_cols = cols;
-      poison_cols(dirty_cols);
-      expect_identical(clean, run_packed(dirty_cols, wts, geom, scale,
-                                         threshold));
+      std::vector<std::uint8_t> dirty = a;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t p = k; p < kp; ++p) {
+          dirty[static_cast<std::size_t>(r * kp + p)] = 0x7F;
+        }
+      }
+      EXPECT_TRUE(clean == run_tiles(dirty, rows, panels));
     }
-    // Case 2: garbage in the weight pads, activation pads still zero.
+    // Case 2: garbage in both weight panels' pad lanes, activation pads
+    // zero.
     {
-      gemm::PackedSplitWeights dirty_wts = wts;
-      poison_weights(dirty_wts);
-      expect_identical(clean, run_packed(cols, dirty_wts, geom, scale,
-                                         threshold));
+      gemm::TilePanels dirty = panels;
+      for (std::int64_t f = 0; f < dirty.oc_padded; ++f) {
+        for (std::int64_t p = k; p < kp; ++p) {
+          dirty.high[static_cast<std::size_t>(f * kp + p)] = -128;
+          dirty.full[static_cast<std::size_t>(f * kp + p)] = 127;
+        }
+      }
+      EXPECT_TRUE(clean == run_tiles(a, rows, dirty));
     }
-  }
-
-  // The int64-accumulator GEMM instantiation obeys the same contract.
-  {
-    gemm::PackedSplitIm2col dirty_cols = cols;
-    poison_cols(dirty_cols);
-    const std::size_t n = static_cast<std::size_t>(
-        cols.high.batches * wts.high.oc * cols.high.rows);
-    std::vector<std::int64_t> clean64(n, 0), dirty64(n, 0);
-    gemm::gemm_conv_int<std::int64_t>(cols.high, wts.high, 2 * lb,
-                                      clean64.data());
-    gemm::gemm_conv_int<std::int64_t>(dirty_cols.high, wts.high, 2 * lb,
-                                      dirty64.data());
-    ASSERT_EQ(clean64, dirty64);
   }
 }
 

@@ -1,5 +1,5 @@
 # Post-hoc check for odq_profile_smoke: the JSON report must contain the
-# packed-GEMM phase-breakdown keys in its per-layer objects.
+# fused ODQ tiles' phase-breakdown keys in its per-layer objects.
 if(NOT DEFINED REPORT)
   message(FATAL_ERROR "pass -DREPORT=<path to smoke.report.json>")
 endif()

@@ -221,10 +221,10 @@ int tool_main(int argc, char** argv) {
       w.kv("sensitive_fraction", stats.sensitive_fraction());
       w.kv("predictor_macs", stats.predictor_macs);
       w.kv("executor_macs", stats.executor_macs);
-      // Phase breakdown of the packed-GEMM pipeline (core/odq.cpp):
-      // operand packing + digit split, predictor INT-GEMM, mask-aware
-      // sparse result generation. Sums to less than wall_seconds; the
-      // remainder is quantize/dequantize and executor overhead.
+      // Phase breakdown of the fused ODQ tiles (core/odq.cpp): activation
+      // packing, predictor tile + threshold, Eq. (3) remainder. Sums to
+      // less than wall_seconds; the remainder is quantize/dequantize and
+      // executor overhead.
       w.kv("pack_seconds", stats.pack_seconds);
       w.kv("gemm_seconds", stats.gemm_seconds);
       w.kv("sparse_epilogue_seconds", stats.sparse_epilogue_seconds);
