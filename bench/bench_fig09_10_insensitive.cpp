@@ -6,7 +6,6 @@
 
 #include "common.hpp"
 #include "core/odq.hpp"
-#include "util/csv.hpp"
 
 namespace {
 

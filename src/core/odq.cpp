@@ -4,16 +4,15 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "gemm/packed.hpp"
 #include "nn/epilogue.hpp"
 #include "obs/fidelity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "quant/static_executor.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/ops.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -30,9 +29,10 @@ namespace {
 
 // Quantize activations per the config: max calibration, or clipping at the
 // configured quantile of the (non-negative) activation distribution. A
-// caller that already scanned the input passes its max (> 0) as
-// `input_max`, which is exactly the clip quantize_activations would compute
-// for itself, so the codes are unchanged and one pass is saved.
+// caller that already scanned the input passes its max as `input_max`,
+// which is exactly the clip quantize_activations would compute for itself,
+// so the codes are unchanged and one pass is saved (an input with no
+// positive value passes 0, and every code comes out 0).
 QTensor quantize_input(const Tensor& input, const OdqConfig& cfg,
                        float input_max = -1.0f) {
   ODQ_TRACE_SPAN("odq.quantize");
@@ -98,18 +98,13 @@ void record_odq_fidelity(const Tensor& input, const Tensor& weight,
                            out.numel());
 }
 
-// Returns nullptr when the layer's runtime statistics support the dynamic
-// scheme, else a short reason string. ODQ's sensitivity threshold compares
-// |dequantized predictor| against cfg.threshold — a non-finite threshold
-// never selects anything, and a collapsed or non-finite activation range
-// makes the predictor magnitudes meaningless. One branch-free linear scan
-// of the input: each lane keeps a running max (NaN never wins the compare)
-// and a poison sum of v - v, which is 0 for finite v and NaN for NaN or
-// ±inf; the verdict is taken once, after the loop. On success `amax` holds
-// the input max, which quantize_input reuses as its clip.
-const char* odq_degenerate_reason(const Tensor& input, float threshold,
-                                  float& amax) {
-  if (!std::isfinite(threshold)) return "non-finite sensitivity threshold";
+// The input max, which quantize_input reuses as its clip; 0 when no value
+// is positive. Throws std::invalid_argument naming the conv when a value is
+// NaN or ±inf: the predictor magnitudes would be meaningless. One
+// branch-free linear scan: each lane keeps a running max (NaN never wins
+// the compare) and a poison sum of v - v, which is 0 for finite v and NaN
+// for NaN or ±inf; the verdict is taken once, after the loop.
+float checked_input_max(const Tensor& input, int conv_id) {
   constexpr std::int64_t kLanes = 8;
   float mx[kLanes] = {};
   float poison[kLanes] = {};
@@ -128,15 +123,17 @@ const char* odq_degenerate_reason(const Tensor& input, float threshold,
     mx[l] = v > mx[l] ? v : mx[l];
     poison[l] += v - v;
   }
-  amax = 0.0f;
+  float amax = 0.0f;
   float bad = 0.0f;
   for (std::int64_t l = 0; l < kLanes; ++l) {
     amax = mx[l] > amax ? mx[l] : amax;
     bad += poison[l];
   }
-  if (bad != bad) return "non-finite activation";
-  if (amax <= 0.0f) return "collapsed activation range (no positive values)";
-  return nullptr;
+  if (bad != bad) {
+    throw std::invalid_argument("odq: conv " + std::to_string(conv_id) +
+                                " input holds a non-finite value (NaN or inf)");
+  }
+  return amax;
 }
 
 // Refuses operands the integer kernels cannot compute exactly: the tile
@@ -615,11 +612,8 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
                             std::int64_t pad, int conv_id) {
   obs::TraceSpan span("odq.conv");
   span.arg("conv_id", conv_id);
-  float input_max = 0.0f;
-  if (const char* reason =
-          odq_degenerate_reason(input, cfg_.threshold, input_max)) {
-    return run_fallback(input, weight, bias, stride, pad, conv_id, reason);
-  }
+  const float input_max = checked_input_max(input, conv_id);
+  const bool collapsed = input_max <= 0.0f;
   QTensor qin = quantize_input(input, cfg_, input_max);
   const std::shared_ptr<const PreparedWeights> prep =
       prepared_weights(weight, conv_id);
@@ -628,6 +622,7 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
           ? odq_conv_reference(qin, prep->codes, stride, pad, cfg_)
           : odq_conv_tiled(qin, prep->codes, prep->panels, stride, pad,
                            cfg_);
+  r.stats.collapsed = collapsed ? 1 : 0;
 
   Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
   if (obs::fidelity_enabled()) {
@@ -637,9 +632,11 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
 
   // Calibration subsampling happens in a call-local buffer; the shared
   // state below is only touched under one short lock (concurrent run()
-  // callers would otherwise serialize on the sampling loop).
+  // callers would otherwise serialize on the sampling loop). A collapsed
+  // call adds no samples: its predictor values are all 0 and would pull a
+  // calibrated threshold toward 0.
   std::vector<float> local_samples;
-  if (calibrate_) {
+  if (calibrate_ && !collapsed) {
     const std::int64_t stride_s =
         std::max<std::int64_t>(1, r.predictor_acc.numel() / 512);
     local_samples.reserve(
@@ -665,35 +662,15 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
   return out;
 }
 
-Tensor OdqConvExecutor::run_fallback(const Tensor& input, const Tensor& weight,
-                                     const Tensor& bias, std::int64_t stride,
-                                     std::int64_t pad, int conv_id,
-                                     const char* reason) {
-  obs::TraceSpan span("odq.fallback");
-  span.arg("conv_id", conv_id);
-  static obs::Counter& fallbacks = obs::counter("odq.fallback");
-  fallbacks.increment();
-  bool log_now = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto id = static_cast<std::size_t>(std::max(conv_id, 0));
-    if (fallback_counts_.size() <= id) fallback_counts_.resize(id + 1, 0);
-    log_now = fallback_counts_[id]++ == 0;
+void OdqConvExecutor::set_threshold(float t) {
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("OdqConvExecutor: threshold must be finite");
   }
-  if (log_now) {
-    ODQ_LOG_WARN(
-        "odq: conv %d has %s; serving this layer via the static-INT8 "
-        "fallback",
-        conv_id, reason);
-  }
-  quant::StaticQuantConvExecutor fallback(/*bits=*/8);
-  return fallback.run(input, weight, bias, stride, pad, conv_id);
+  cfg_.threshold = t;
 }
 
 std::int64_t OdqConvExecutor::fallback_count(int id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto i = static_cast<std::size_t>(id);
-  return i < fallback_counts_.size() ? fallback_counts_[i] : 0;
+  return layer_stats(id).collapsed;
 }
 
 OdqLayerStats OdqConvExecutor::layer_stats(int id) const {
@@ -718,7 +695,6 @@ void OdqConvExecutor::reset_stats() {
   std::lock_guard<std::mutex> lock(mutex_);
   stats_.clear();
   last_channel_counts_.clear();
-  fallback_counts_.clear();
   calib_samples_.clear();
 }
 

@@ -72,6 +72,10 @@ struct OdqLayerStats {
   double pack_seconds = 0.0;
   double gemm_seconds = 0.0;
   double sparse_epilogue_seconds = 0.0;
+  // Executor calls whose input had no positive value (a dead layer). They
+  // ran the normal pipeline on all-zero codes and count in every field
+  // above like any other call.
+  std::int64_t collapsed = 0;
 
   double sensitive_fraction() const {
     return outputs > 0
@@ -88,6 +92,7 @@ struct OdqLayerStats {
     pack_seconds += other.pack_seconds;
     gemm_seconds += other.gemm_seconds;
     sparse_epilogue_seconds += other.sparse_epilogue_seconds;
+    collapsed += other.collapsed;
   }
 };
 
@@ -135,20 +140,22 @@ tensor::Tensor odq_conv_float(const tensor::Tensor& input,
 // sensitive counts for the accelerator simulator (the paper dumps binary
 // mask maps from PyTorch into its simulator the same way, §5.2).
 //
-// Graceful degradation: run() validates the layer's quantization
-// parameters first — a non-finite threshold, non-finite activations, or a
-// collapsed activation range (no positive values) makes the sensitivity
-// threshold meaningless — and serves that layer through the static-INT8
-// path instead, incrementing the `odq.fallback` obs counter once per run
-// and logging once per layer. The model keeps serving; docs/robustness.md
-// has the semantics.
+// Input contract (docs/robustness.md): every call runs the ODQ pipeline and
+// records its stats. An input with no positive value quantizes to all-zero
+// codes, so its outputs are the bias alone; the call also counts in
+// OdqLayerStats::collapsed and adds no calibration samples. A NaN or ±inf
+// activation throws std::invalid_argument naming the conv, and a
+// non-finite threshold is refused when it is set.
 //
 // Weights are quantized and packed once per conv id and reused while the
 // incoming weight tensor keeps the same shape and bytes (validated by
 // content on every call, so weight writers need not notify anyone).
 class OdqConvExecutor : public nn::ConvExecutor {
  public:
-  explicit OdqConvExecutor(OdqConfig cfg) : cfg_(cfg) {}
+  // Both throw std::invalid_argument for a non-finite threshold.
+  explicit OdqConvExecutor(OdqConfig cfg) : cfg_(cfg) {
+    set_threshold(cfg.threshold);
+  }
 
   tensor::Tensor run(const tensor::Tensor& input, const tensor::Tensor& weight,
                      const tensor::Tensor& bias, std::int64_t stride,
@@ -157,7 +164,7 @@ class OdqConvExecutor : public nn::ConvExecutor {
   std::string name() const override { return "odq"; }
 
   const OdqConfig& config() const { return cfg_; }
-  void set_threshold(float t) { cfg_.threshold = t; }
+  void set_threshold(float t);
 
   OdqLayerStats layer_stats(int id) const;
   std::size_t num_layers_seen() const;
@@ -166,8 +173,9 @@ class OdqConvExecutor : public nn::ConvExecutor {
   OdqLayerStats total_stats() const;
   void reset_stats();
 
-  // Runs of conv `id` that were served by the static-INT8 fallback since
-  // construction / the last reset_stats().
+  // layer_stats(id).collapsed: the calls of conv `id` whose input had no
+  // positive value. The name stays because the benchmark ledger reads it
+  // (`core.fallback_layers`); the next benchmark change may rename it.
   std::int64_t fallback_count(int id) const;
 
   // Per-output-channel sensitive counts of the *last* call per layer
@@ -189,18 +197,11 @@ class OdqConvExecutor : public nn::ConvExecutor {
   std::shared_ptr<const PreparedWeights> prepared_weights(
       const tensor::Tensor& weight, int conv_id);
 
-  tensor::Tensor run_fallback(const tensor::Tensor& input,
-                              const tensor::Tensor& weight,
-                              const tensor::Tensor& bias, std::int64_t stride,
-                              std::int64_t pad, int conv_id,
-                              const char* reason);
-
   OdqConfig cfg_;
   bool calibrate_ = false;
   mutable std::mutex mutex_;
   std::vector<OdqLayerStats> stats_;
   std::vector<std::vector<std::int64_t>> last_channel_counts_;
-  std::vector<std::int64_t> fallback_counts_;
   std::vector<float> calib_samples_;
   // Read-only prepared weights per conv id (docs/quantization.md, "Prepared
   // weights"). Snapshotted and swapped under mutex_; reset_stats() keeps

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "tensor/ops.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace odq::core {
@@ -106,8 +105,6 @@ ThresholdSearchResult search_threshold(nn::Model& model,
 
     res.trace.push_back({threshold, acc, sens});
     res.iterations = iter + 1;
-    ODQ_LOG_DEBUG("threshold search iter %d: thr=%.5f acc=%.4f sens=%.3f",
-                  iter, threshold, acc, sens);
 
     if (acc + 1e-12 >= reference_accuracy - scfg.accuracy_tolerance) {
       res.threshold = threshold;

@@ -24,17 +24,4 @@ SplitTensor split(const QTensor& q, int low_bits) {
   return split_codes(q.q, low_bits);
 }
 
-ProductParts product_parts(std::int8_t a, std::int8_t b, int low_bits) {
-  const std::int32_t ah = high_part(a, low_bits);
-  const std::int32_t al = low_part(a, low_bits);
-  const std::int32_t bh = high_part(b, low_bits);
-  const std::int32_t bl = low_part(b, low_bits);
-  ProductParts p;
-  p.hh_shifted = (ah * bh) << (2 * low_bits);
-  p.hl_shifted = (ah * bl) << low_bits;
-  p.lh_shifted = (al * bh) << low_bits;
-  p.ll = al * bl;
-  return p;
-}
-
 }  // namespace odq::quant

@@ -48,16 +48,4 @@ struct SplitTensor {
 SplitTensor split(const QTensor& q, int low_bits = 2);
 SplitTensor split_codes(const tensor::TensorI8& codes, int low_bits = 2);
 
-// Exact product decomposition of two codes (for tests and the accelerator
-// model): returns the four partial products of Eq. (3) already shifted.
-struct ProductParts {
-  std::int32_t hh_shifted;  // (ah*bh) << (2*low_bits)  -- predictor term
-  std::int32_t hl_shifted;  // (ah*bl) << low_bits
-  std::int32_t lh_shifted;  // (al*bh) << low_bits
-  std::int32_t ll;          // al*bl
-  std::int32_t total() const { return hh_shifted + hl_shifted + lh_shifted + ll; }
-};
-
-ProductParts product_parts(std::int8_t a, std::int8_t b, int low_bits = 2);
-
 }  // namespace odq::quant

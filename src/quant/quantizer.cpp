@@ -212,69 +212,6 @@ Tensor fake_quantize_activations(const Tensor& x, int bits, float clip) {
   return out;
 }
 
-tensor::Tensor QTensorPerChannel::dequantize() const {
-  Tensor out(q.shape());
-  const std::int64_t oc = q.shape()[0];
-  const std::int64_t per = q.numel() / std::max<std::int64_t>(oc, 1);
-  for (std::int64_t c = 0; c < oc; ++c) {
-    const float s = scales[static_cast<std::size_t>(c)];
-    for (std::int64_t i = 0; i < per; ++i) {
-      out[c * per + i] = static_cast<float>(q[c * per + i]) * s;
-    }
-  }
-  return out;
-}
-
-QTensorPerChannel quantize_weights_per_channel(const Tensor& w, int bits,
-                                               WeightTransform transform) {
-  if (bits < 2 || bits > 8) {
-    throw std::invalid_argument(
-        "quantize_weights_per_channel: bits must be in [2,8]");
-  }
-  if (w.shape().rank() < 2) {
-    throw std::invalid_argument(
-        "quantize_weights_per_channel: need an OIHW/OI tensor");
-  }
-  QTensorPerChannel out;
-  out.bits = bits;
-  out.q = TensorI8(w.shape());
-  const std::int64_t oc = w.shape()[0];
-  const std::int64_t per = w.numel() / oc;
-  out.scales.resize(static_cast<std::size_t>(oc));
-  const auto qmax = static_cast<std::int32_t>((1 << (bits - 1)) - 1);
-
-  // DoReFa's tanh normalization is a per-tensor transform; apply it first,
-  // then scale each filter independently.
-  Tensor t = w;
-  if (transform == WeightTransform::kDoReFa) {
-    float tmax = 0.0f;
-    for (std::int64_t i = 0; i < w.numel(); ++i) {
-      t[i] = std::tanh(w[i]);
-      tmax = std::max(tmax, std::abs(t[i]));
-    }
-    if (tmax > 0.0f) {
-      for (std::int64_t i = 0; i < w.numel(); ++i) t[i] /= tmax;
-    }
-  }
-  for (std::int64_t c = 0; c < oc; ++c) {
-    float cmax = 0.0f;
-    for (std::int64_t i = 0; i < per; ++i) {
-      cmax = std::max(cmax, std::abs(t[c * per + i]));
-    }
-    const float scale = (cmax > 0.0f ? cmax : 1.0f) / static_cast<float>(qmax);
-    out.scales[static_cast<std::size_t>(c)] = scale;
-    for (std::int64_t i = 0; i < per; ++i) {
-      out.q[c * per + i] = clamp_code(t[c * per + i] / scale, -qmax, qmax);
-    }
-  }
-  return out;
-}
-
-Tensor fake_quantize_weights_per_channel(const Tensor& w, int bits,
-                                         WeightTransform transform) {
-  return quantize_weights_per_channel(w, bits, transform).dequantize();
-}
-
 TensorI32 conv2d_i8(const TensorI8& input, const TensorI8& weight,
                     std::int64_t stride, std::int64_t pad) {
   const Shape& is = input.shape();

@@ -47,27 +47,6 @@ QTensor quantize_signed(const tensor::Tensor& x, int bits);
 float activation_clip_from_percentile(const tensor::Tensor& x,
                                       float percentile);
 
-// Per-output-channel weight quantization: one scale per filter (dim 0 of an
-// OIHW tensor). Strictly tighter than the per-tensor scale whenever filter
-// magnitudes differ, at the cost of a per-channel multiplier at
-// dequantization — standard practice for low-bit deployment.
-struct QTensorPerChannel {
-  tensor::TensorI8 q;          // codes, same shape as the weights
-  std::vector<float> scales;   // one per output channel
-  int bits = 8;
-
-  tensor::Tensor dequantize() const;
-};
-
-QTensorPerChannel quantize_weights_per_channel(
-    const tensor::Tensor& w, int bits,
-    WeightTransform transform = WeightTransform::kLinear);
-
-// Fake quantization through per-channel scales.
-tensor::Tensor fake_quantize_weights_per_channel(
-    const tensor::Tensor& w, int bits,
-    WeightTransform transform = WeightTransform::kLinear);
-
 // Round a float tensor through a b-bit quantizer and back (fake
 // quantization). Supports 2..16 bits (codes are held in float, so they are
 // exact up to 16 bits). Used by the static INT16/INT8 baselines and by

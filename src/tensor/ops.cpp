@@ -149,12 +149,6 @@ Tensor conv2d_direct(const Tensor& input, const Tensor& weight,
   return out;
 }
 
-void relu_inplace(Tensor& x) {
-  float* p = x.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-}
-
 Tensor add(const Tensor& a, const Tensor& b) {
   Tensor out = a;
   add_inplace(out, b);
@@ -170,12 +164,6 @@ void add_inplace(Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   const std::int64_t n = a.numel();
   for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
-}
-
-void scale_inplace(Tensor& x, float s) {
-  float* p = x.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) p[i] *= s;
 }
 
 Tensor maxpool2d(const Tensor& input, std::int64_t k, TensorI32* argmax) {
@@ -316,16 +304,6 @@ float max_abs_diff(const Tensor& a, const Tensor& b) {
     best = std::max(best, std::abs(a[i] - b[i]));
   }
   return best;
-}
-
-float mean_abs_diff(const Tensor& a, const Tensor& b) {
-  if (a.shape() != b.shape()) {
-    throw std::invalid_argument("mean_abs_diff: shape mismatch");
-  }
-  if (a.numel() == 0) return 0.0f;
-  double acc = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i) acc += std::abs(a[i] - b[i]);
-  return static_cast<float>(acc / static_cast<double>(a.numel()));
 }
 
 }  // namespace odq::tensor

@@ -42,10 +42,8 @@ Tensor conv2d_direct(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, std::int64_t stride, std::int64_t pad);
 
 // Elementwise.
-void relu_inplace(Tensor& x);
 Tensor add(const Tensor& a, const Tensor& b);
 void add_inplace(Tensor& a, const Tensor& b);
-void scale_inplace(Tensor& x, float s);
 
 // 2x2 (or kxk) max pooling with stride == k; also returns argmax indices for
 // the backward pass when `argmax` is non-null.
@@ -69,8 +67,5 @@ Tensor concat_channels(const Tensor& a, const Tensor& b);
 
 // Max |a - b| over all elements (shapes must match).
 float max_abs_diff(const Tensor& a, const Tensor& b);
-
-// Mean |a - b| over all elements.
-float mean_abs_diff(const Tensor& a, const Tensor& b);
 
 }  // namespace odq::tensor

@@ -43,8 +43,12 @@ TEST(DrqAnalysis, HistogramsAreDistributions) {
     hi_sum += a.highprec_share_hist[k];
   }
   // Each histogram sums to 1 when its population is non-empty.
-  if (a.sensitive_output_fraction > 0.0) EXPECT_NEAR(lo_sum, 1.0, 1e-9);
-  if (a.sensitive_output_fraction < 1.0) EXPECT_NEAR(hi_sum, 1.0, 1e-9);
+  if (a.sensitive_output_fraction > 0.0) {
+    EXPECT_NEAR(lo_sum, 1.0, 1e-9);
+  }
+  if (a.sensitive_output_fraction < 1.0) {
+    EXPECT_NEAR(hi_sum, 1.0, 1e-9);
+  }
 }
 
 TEST(DrqAnalysis, AllSensitiveInputsGiveZeroPrecisionLoss) {

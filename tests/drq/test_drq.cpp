@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/mean_abs_diff.hpp"
 #include "nn/init.hpp"
 #include "nn/models.hpp"
 #include "quant/quantizer.hpp"
@@ -145,13 +146,13 @@ TEST(DrqConv, MixedPrecisionBetweenExtremes) {
   cfg.input_threshold = 1e9f;
   Tensor all_lo = drq_conv(x, w, bias, 1, 1, cfg);
 
-  const float err_hi = tensor::mean_abs_diff(mixed, all_hi);
-  const float err_lo = tensor::mean_abs_diff(mixed, all_lo);
+  const float err_hi = testutil::mean_abs_diff(mixed, all_hi);
+  const float err_lo = testutil::mean_abs_diff(mixed, all_lo);
   EXPECT_GT(err_hi, 0.0f);
   EXPECT_GT(err_lo, 0.0f);
   // Mixed must be strictly between the extremes in both directions.
-  EXPECT_LT(err_hi, tensor::mean_abs_diff(all_lo, all_hi));
-  EXPECT_LT(err_lo, tensor::mean_abs_diff(all_lo, all_hi));
+  EXPECT_LT(err_hi, testutil::mean_abs_diff(all_lo, all_hi));
+  EXPECT_LT(err_lo, testutil::mean_abs_diff(all_lo, all_hi));
 }
 
 TEST(DrqExecutor, CollectsPerLayerStats) {

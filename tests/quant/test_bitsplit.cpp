@@ -12,6 +12,32 @@ namespace {
 
 using tensor::Shape;
 
+// Scalar oracle for Eq. (3): the four partial products of a * b, each
+// already shifted, built from the high/low parts the library splits codes
+// into.
+struct ProductParts {
+  std::int32_t hh_shifted;  // (ah*bh) << (2*low_bits)  -- predictor term
+  std::int32_t hl_shifted;  // (ah*bl) << low_bits
+  std::int32_t lh_shifted;  // (al*bh) << low_bits
+  std::int32_t ll;          // al*bl
+  std::int32_t total() const {
+    return hh_shifted + hl_shifted + lh_shifted + ll;
+  }
+};
+
+ProductParts product_parts(std::int8_t a, std::int8_t b, int low_bits = 2) {
+  const std::int32_t ah = high_part(a, low_bits);
+  const std::int32_t al = low_part(a, low_bits);
+  const std::int32_t bh = high_part(b, low_bits);
+  const std::int32_t bl = low_part(b, low_bits);
+  ProductParts p;
+  p.hh_shifted = (ah * bh) << (2 * low_bits);
+  p.hl_shifted = (ah * bl) << low_bits;
+  p.lh_shifted = (al * bh) << low_bits;
+  p.ll = al * bl;
+  return p;
+}
+
 TEST(BitSplit, HighLowRecomposeForAllInt4Codes) {
   // Exhaustive over the signed INT4 range the library uses.
   for (int v = -8; v <= 7; ++v) {

@@ -44,12 +44,10 @@ TEST_F(QModelIoTest, RoundTripReproducesQuantizedForward) {
   // a's INT4-quantized forward equals b's FP32 forward exactly, because
   // fake-quantizing already-quantized values is the identity.
   Tensor x = random_image(Shape{2, 3, 16, 16}, 3);
-  a.set_conv_executor(std::make_shared<StaticQuantConvExecutor>(
-      4, WeightTransform::kLinear));
+  a.set_conv_executor(std::make_shared<StaticQuantConvExecutor>(4));
   // Match activation handling: both sides quantize activations, so install
   // the same executor on b too.
-  b.set_conv_executor(std::make_shared<StaticQuantConvExecutor>(
-      4, WeightTransform::kLinear));
+  b.set_conv_executor(std::make_shared<StaticQuantConvExecutor>(4));
   Tensor ya = a.forward(x, false);
   Tensor yb = b.forward(x, false);
   EXPECT_LT(tensor::max_abs_diff(ya, yb), 1e-5f);

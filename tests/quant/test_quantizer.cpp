@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/mean_abs_diff.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -52,7 +53,7 @@ TEST(QuantizeWeights, MoreBitsMeansLessError) {
   float prev = 1e9f;
   for (int bits : {2, 3, 4, 6, 8}) {
     QTensor q = quantize_weights(w, bits);
-    const float err = tensor::mean_abs_diff(w, q.dequantize());
+    const float err = testutil::mean_abs_diff(w, q.dequantize());
     EXPECT_LT(err, prev);
     prev = err;
   }
@@ -161,72 +162,6 @@ TEST(FakeQuantize, RejectsBadBits) {
   EXPECT_THROW(fake_quantize_activations(x, 17), std::invalid_argument);
   EXPECT_THROW(fake_quantize_weights(x, 1, WeightTransform::kLinear),
                std::invalid_argument);
-}
-
-TEST(PerChannelQuant, ScalesPerFilter) {
-  // Two filters with very different magnitudes: per-channel scales differ.
-  Tensor w(Shape{2, 1, 2, 2},
-           std::vector<float>{1.0f, -1.0f, 0.5f, 0.25f,    // filter 0
-                              0.01f, -0.02f, 0.015f, 0.005f});  // filter 1
-  QTensorPerChannel q = quantize_weights_per_channel(w, 4);
-  ASSERT_EQ(q.scales.size(), 2u);
-  EXPECT_GT(q.scales[0], 10.0f * q.scales[1]);
-}
-
-TEST(PerChannelQuant, BeatsPerTensorOnHeterogeneousFilters) {
-  util::Rng rng(77);
-  Tensor w(Shape{8, 4, 3, 3});
-  for (std::int64_t c = 0; c < 8; ++c) {
-    // Filter magnitudes span two orders of magnitude.
-    const float mag = 0.01f * std::pow(2.0f, static_cast<float>(c));
-    for (std::int64_t i = 0; i < 4 * 9; ++i) {
-      w[c * 36 + i] = rng.normal_f(0.0f, mag);
-    }
-  }
-  const float per_tensor_err = tensor::mean_abs_diff(
-      w, fake_quantize_weights(w, 4, WeightTransform::kLinear));
-  const float per_channel_err = tensor::mean_abs_diff(
-      w, fake_quantize_weights_per_channel(w, 4));
-  EXPECT_LT(per_channel_err, 0.5f * per_tensor_err);
-}
-
-TEST(PerChannelQuant, DequantizeMatchesFake) {
-  util::Rng rng(78);
-  Tensor w(Shape{3, 2, 3, 3});
-  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.3f);
-  QTensorPerChannel q = quantize_weights_per_channel(w, 4);
-  Tensor fq = fake_quantize_weights_per_channel(w, 4);
-  EXPECT_LT(tensor::max_abs_diff(q.dequantize(), fq), 1e-6f);
-}
-
-TEST(PerChannelQuant, CodesInRange) {
-  util::Rng rng(79);
-  Tensor w(Shape{4, 2, 3, 3});
-  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.5f);
-  for (int bits : {2, 4, 8}) {
-    QTensorPerChannel q = quantize_weights_per_channel(w, bits);
-    const std::int32_t qmax = (1 << (bits - 1)) - 1;
-    for (std::int64_t i = 0; i < q.q.numel(); ++i) {
-      EXPECT_GE(q.q[i], -qmax);
-      EXPECT_LE(q.q[i], qmax);
-    }
-  }
-}
-
-TEST(PerChannelQuant, RejectsBadInput) {
-  Tensor scalarish(Shape{4}, 1.0f);
-  EXPECT_THROW(quantize_weights_per_channel(scalarish, 4),
-               std::invalid_argument);
-  Tensor ok(Shape{2, 2}, 1.0f);
-  EXPECT_THROW(quantize_weights_per_channel(ok, 1), std::invalid_argument);
-}
-
-TEST(PerChannelQuant, ZeroFilterSafe) {
-  Tensor w(Shape{2, 1, 1, 2}, std::vector<float>{0.0f, 0.0f, 1.0f, -1.0f});
-  QTensorPerChannel q = quantize_weights_per_channel(w, 4);
-  EXPECT_EQ(q.q[0], 0);
-  EXPECT_EQ(q.q[1], 0);
-  EXPECT_GT(q.scales[0], 0.0f);
 }
 
 class BitsSweep : public ::testing::TestWithParam<int> {};

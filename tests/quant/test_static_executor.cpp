@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/mean_abs_diff.hpp"
 #include "nn/models.hpp"
 #include "nn/init.hpp"
 #include "tensor/ops.hpp"
@@ -42,9 +43,9 @@ TEST(StaticExecutor, ErrorShrinksWithBits) {
 
   float prev = 1e9f;
   for (int bits : {2, 4, 8, 16}) {
-    StaticQuantConvExecutor ex(bits, WeightTransform::kLinear);
+    StaticQuantConvExecutor ex(bits);
     Tensor out = ex.run(in, w, bias, 1, 1, 0);
-    const float err = tensor::mean_abs_diff(ref, out);
+    const float err = testutil::mean_abs_diff(ref, out);
     EXPECT_LT(err, prev) << "bits=" << bits;
     prev = err;
   }

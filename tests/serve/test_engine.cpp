@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -405,6 +406,36 @@ TEST_F(ServeEngineTest, BatchedOdqServingIsBitIdenticalToSequential) {
         << "request " << i << " diverged (batch_size " << res.batch_size
         << ", worker " << res.worker_id << ")";
   }
+}
+
+// A NaN pixel makes the ODQ executor refuse that request's forward: it
+// fails alone with kInvalidArgument naming the conv, and the finite request
+// in the same batch gets the answer the session gives it on its own.
+TEST_F(ServeEngineTest, NonFiniteRequestFailsAloneInItsBatch) {
+  const std::shared_ptr<InferenceSession> shared = model_session("odq");
+  EngineConfig cfg;
+  cfg.num_workers = 1;
+  cfg.max_batch = 2;
+  cfg.flush_timeout_us = 5000000;  // the batch closes when both arrived
+  ServeEngine engine(cfg, [&](int) { return shared; });
+  Tensor bad = input_for(0);
+  bad[5] = std::numeric_limits<float>::quiet_NaN();
+  auto bad_fut = engine.submit(bad);
+  auto good_fut = engine.submit(input_for(1));
+  ASSERT_TRUE(bad_fut.ok());
+  ASSERT_TRUE(good_fut.ok());
+  const InferResponse bad_res = bad_fut->get();
+  const InferResponse good_res = good_fut->get();
+  engine.shutdown();
+
+  EXPECT_EQ(bad_res.batch_size, 2u);
+  EXPECT_EQ(good_res.batch_size, 2u);
+  EXPECT_EQ(bad_res.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_res.status.message().find("conv 0"), std::string::npos)
+      << bad_res.status.to_string();
+  ASSERT_TRUE(good_res.status.ok()) << good_res.status.to_string();
+  EXPECT_TRUE(bitwise_equal(shared->run(input_for(1)), good_res.output));
+  EXPECT_EQ(engine.stats().errors, 1u);
 }
 
 // One session returned for every worker: the workers run its model

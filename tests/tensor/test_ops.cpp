@@ -5,6 +5,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "common/mean_abs_diff.hpp"
 #include "gemm/sgemm.hpp"
 #include "util/rng.hpp"
 
@@ -143,15 +144,6 @@ TEST(Conv2dDirect, ChannelMismatchThrows) {
   EXPECT_THROW(conv2d_direct(x, w, bias, 1, 1), std::invalid_argument);
 }
 
-TEST(Relu, ClampsNegatives) {
-  Tensor x(Shape{4}, std::vector<float>{-1.0f, 0.0f, 2.0f, -0.5f});
-  relu_inplace(x);
-  EXPECT_FLOAT_EQ(x[0], 0.0f);
-  EXPECT_FLOAT_EQ(x[1], 0.0f);
-  EXPECT_FLOAT_EQ(x[2], 2.0f);
-  EXPECT_FLOAT_EQ(x[3], 0.0f);
-}
-
 TEST(Add, Elementwise) {
   Tensor a(Shape{3}, std::vector<float>{1, 2, 3});
   Tensor b(Shape{3}, std::vector<float>{10, 20, 30});
@@ -163,13 +155,6 @@ TEST(Add, Elementwise) {
 TEST(Add, ShapeMismatchThrows) {
   Tensor a(Shape{3}), b(Shape{4});
   EXPECT_THROW(add_inplace(a, b), std::invalid_argument);
-}
-
-TEST(Scale, Inplace) {
-  Tensor a(Shape{2}, std::vector<float>{2, -4});
-  scale_inplace(a, 0.5f);
-  EXPECT_FLOAT_EQ(a[0], 1.0f);
-  EXPECT_FLOAT_EQ(a[1], -2.0f);
 }
 
 TEST(MaxPool, PicksMaxAndArgmax) {
@@ -246,7 +231,7 @@ TEST(Diff, MaxAndMean) {
   Tensor a(Shape{2}, std::vector<float>{1, 2});
   Tensor b(Shape{2}, std::vector<float>{2, 5});
   EXPECT_FLOAT_EQ(max_abs_diff(a, b), 3.0f);
-  EXPECT_FLOAT_EQ(mean_abs_diff(a, b), 2.0f);
+  EXPECT_FLOAT_EQ(testutil::mean_abs_diff(a, b), 2.0f);
 }
 
 // Parameterized: im2col conv path agrees with direct conv for many geometries.

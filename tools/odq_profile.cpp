@@ -219,6 +219,8 @@ int tool_main(int argc, char** argv) {
       w.kv("outputs", stats.outputs);
       w.kv("sensitive", stats.sensitive);
       w.kv("sensitive_fraction", stats.sensitive_fraction());
+      // Calls whose input had no positive value (a dead layer).
+      w.kv("collapsed", stats.collapsed);
       w.kv("predictor_macs", stats.predictor_macs);
       w.kv("executor_macs", stats.executor_macs);
       // Phase breakdown of the fused ODQ tiles (core/odq.cpp): activation
