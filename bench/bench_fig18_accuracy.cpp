@@ -43,7 +43,11 @@ Row run_one(const std::string& model_name, int variant) {
     d42.lo_bits = 2;
     d42.calibrate_quantile = 0.5;  // half of input regions high-precision
     auto exec = std::make_shared<drq::DrqConvExecutor>(d42);
-    nn::Model m = bench::finetuned_model(model_name, variant, "drq42", exec);
+    // The cache tag names the training forward: models fine-tuned through
+    // the fake-quantized float DRQ conv ("drq42") are not reused for the
+    // integer one.
+    nn::Model m =
+        bench::finetuned_model(model_name, variant, "drq42_int", exec);
     exec->reset_stats();
     row.drq42 = bench::test_accuracy(m, variant);
     double sens = 0.0;

@@ -10,6 +10,7 @@
 #include "gemm/sgemm.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
+#include "quant/static_executor.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -94,30 +95,47 @@ void BM_OdqFull(benchmark::State& state) {
 }
 BENCHMARK(BM_OdqFull)->Arg(4)->Arg(8)->Arg(16);
 
-// One ResNet-20 (width 8) conv at batch 1 through an OdqConvExecutor, the
-// production path: weights are quantized and packed once, so each call
-// times only the per-input work (scan, quantize, fused tiles, dequantize).
-// range(0) picks the shape — the stem, then a 3x3 conv of stage 1, 2 and 3
-// (8/8/16/32 filters over 3/8/16/32 channels at 32/32/16/8 pixels square);
-// range(1) the threshold: 0 makes every output sensitive, 1 none (1e30).
-void BM_OdqExecutorConv(benchmark::State& state) {
-  static constexpr std::int64_t kIn[] = {3, 8, 16, 32};
-  static constexpr std::int64_t kOut[] = {8, 8, 16, 32};
-  static constexpr std::int64_t kSize[] = {32, 32, 16, 8};
-  const auto s = static_cast<std::size_t>(state.range(0));
-  const std::int64_t hw = kSize[s];
-  Tensor x = random_acts(Shape{1, kIn[s], hw, hw}, 20);
-  Tensor w = random_weights(Shape{kOut[s], kIn[s], 3, 3}, 21);
+// The four ResNet-20 (width 8) conv shapes at batch 1: the stem, then a 3x3
+// conv of stage 1, 2 and 3 (8/8/16/32 filters over 3/8/16/32 channels at
+// 32/32/16/8 pixels square).
+struct Resnet20Conv {
+  std::int64_t in, out, size;
+};
+constexpr Resnet20Conv kResnet20Convs[] = {
+    {3, 8, 32}, {8, 8, 32}, {16, 16, 16}, {32, 32, 8}};
+
+// One of those convs through `exec`, the production path: weights are
+// prepared once, so each call times only the per-input work.
+void time_executor_conv(benchmark::State& state, nn::ConvExecutor& exec) {
+  const Resnet20Conv& k =
+      kResnet20Convs[static_cast<std::size_t>(state.range(0))];
+  Tensor x = random_acts(Shape{1, k.in, k.size, k.size}, 20);
+  Tensor w = random_weights(Shape{k.out, k.in, 3, 3}, 21);
   Tensor bias;
-  core::OdqConfig cfg;
-  cfg.threshold = state.range(1) == 0 ? 0.0f : 1e30f;
-  core::OdqConvExecutor exec(cfg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(exec.run(x, w, bias, 1, 1, /*conv_id=*/0));
   }
-  state.SetItemsProcessed(state.iterations() * hw * hw * kOut[s] * kIn[s] * 9);
+  state.SetItemsProcessed(state.iterations() * k.size * k.size * k.out *
+                          k.in * 9);
+}
+
+// ODQ (scan, quantize, fused tiles, dequantize). range(0) picks the shape,
+// range(1) the threshold: 0 makes every output sensitive, 1 none (1e30).
+void BM_OdqExecutorConv(benchmark::State& state) {
+  core::OdqConfig cfg;
+  cfg.threshold = state.range(1) == 0 ? 0.0f : 1e30f;
+  core::OdqConvExecutor exec(cfg);
+  time_executor_conv(state, exec);
 }
 BENCHMARK(BM_OdqExecutorConv)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
+
+// Static INT8 (scan, u8 quantize, one exact tile pass with the dequantize
+// fused) on the same shapes: the serve path's degraded scheme.
+void BM_StaticInt8Conv(benchmark::State& state) {
+  quant::StaticQuantConvExecutor exec(8);
+  time_executor_conv(state, exec);
+}
+BENCHMARK(BM_StaticInt8Conv)->DenseRange(0, 3);
 
 void BM_DrqMixedConv(benchmark::State& state) {
   const std::int64_t c = state.range(0);

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
-#include <string>
 
-#include "gemm/packed.hpp"
+#include "gemm/row_tiles.hpp"
 #include "nn/epilogue.hpp"
 #include "obs/fidelity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/ops.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace odq::core {
@@ -32,7 +29,7 @@ namespace {
 // caller that already scanned the input passes its max as `input_max`,
 // which is exactly the clip quantize_activations would compute for itself,
 // so the codes are unchanged and one pass is saved (an input with no
-// positive value passes 0, and every code comes out 0).
+// positive value passes 0, and every code comes out 0); -1 scans.
 QTensor quantize_input(const Tensor& input, const OdqConfig& cfg,
                        float input_max = -1.0f) {
   ODQ_TRACE_SPAN("odq.quantize");
@@ -96,44 +93,6 @@ void record_odq_fidelity(const Tensor& input, const Tensor& weight,
   obs::fidelity_record_odq("odq", layer, cfg.threshold, ref.data(), out.data(),
                            pred_out.data(), pred_mag.data(), r.mask.data(),
                            out.numel());
-}
-
-// The input max, which quantize_input reuses as its clip; 0 when no value
-// is positive. Throws std::invalid_argument naming the conv when a value is
-// NaN or ±inf: the predictor magnitudes would be meaningless. One
-// branch-free linear scan: each lane keeps a running max (NaN never wins
-// the compare) and a poison sum of v - v, which is 0 for finite v and NaN
-// for NaN or ±inf; the verdict is taken once, after the loop.
-float checked_input_max(const Tensor& input, int conv_id) {
-  constexpr std::int64_t kLanes = 8;
-  float mx[kLanes] = {};
-  float poison[kLanes] = {};
-  const float* p = input.data();
-  const std::int64_t n = input.numel();
-  std::int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::int64_t l = 0; l < kLanes; ++l) {
-      const float v = p[i + l];
-      mx[l] = v > mx[l] ? v : mx[l];
-      poison[l] += v - v;
-    }
-  }
-  for (std::int64_t l = 0; i < n; ++i, ++l) {
-    const float v = p[i];
-    mx[l] = v > mx[l] ? v : mx[l];
-    poison[l] += v - v;
-  }
-  float amax = 0.0f;
-  float bad = 0.0f;
-  for (std::int64_t l = 0; l < kLanes; ++l) {
-    amax = mx[l] > amax ? mx[l] : amax;
-    bad += poison[l];
-  }
-  if (bad != bad) {
-    throw std::invalid_argument("odq: conv " + std::to_string(conv_id) +
-                                " input holds a non-finite value (NaN or inf)");
-  }
-  return amax;
 }
 
 // Refuses operands the integer kernels cannot compute exactly: the tile
@@ -269,28 +228,6 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
 
 namespace {
 
-// Output rows per task. Tasks split the (batch, row tile) space and each
-// covers every filter; a multiple of the kernels' kTileRows. 64 rows of the
-// deepest ResNet-20 conv (288 taps) fill 18 KiB of L1, and each task reads
-// the tick counter three times, so tiles this coarse keep the reads cheap.
-// Four ResNet-20 w8 conv shapes, one thread, 25 interleaved repetitions,
-// median: 401 / 330 / 336 / 351 us at 16 / 32 / 64 / 128 rows (batch 1),
-// and 32.9 / 33.1 / 32.3 ms at 16 / 32 / 64 rows for six larger shapes at
-// batch 8 with every output sensitive.
-constexpr std::int64_t kTaskRows = 64;
-static_assert(kTaskRows % simd::kTileRows == 0, "row tile = whole blocks");
-
-// Below this many predictor MACs per chunk the region runs inline on the
-// caller, like sgemm's 2^16-MAC cut-off; tasks are grouped into chunks of
-// at least this much work. Every ResNet-20 w8 conv at batch 1 (at most
-// ~655k MACs) then runs inline. perfbench resnet20-b1 p50, three
-// alternating 6 s runs each, 4 pool threads: 2.41 / 2.14 / 2.44 ms at 2^18
-// (stage-1 and stage-2 convs fan out), 1.93 / 2.32 / 2.38 ms at 2^20 and
-// 2.43 / 2.34 / 2.24 ms at 2^22; fanning out buys nothing measurable at
-// batch 1 on a shared 4-vCPU host, so the cut-off keeps those convs off
-// the pool, where two serving workers would contend for it.
-constexpr std::int64_t kMinChunkMacs = std::int64_t{1} << 20;
-
 // A filter block of a task (kTileFilters filters x the task's rows) with
 // at least kDenseNum / kDenseDen of its outputs sensitive computes its
 // full-code products as one tile over all its rows and keeps the sensitive
@@ -305,25 +242,6 @@ constexpr std::int64_t kMinChunkMacs = std::int64_t{1} << 20;
 // rule at 3/8.
 constexpr std::int64_t kDenseNum = 1;
 constexpr std::int64_t kDenseDen = 2;
-
-// Per-thread scratch, reused across tasks and calls: the tile's packed
-// activation rows, and its raw predictor sums [oc_padded][rows] (then one
-// dense filter block's full-code sums).
-struct TileScratch {
-  std::vector<std::uint8_t> rows;
-  std::vector<std::int32_t> sums;
-};
-
-TileScratch& tile_scratch(std::int64_t row_bytes, std::int64_t sums) {
-  thread_local TileScratch s;
-  if (s.rows.size() < static_cast<std::size_t>(row_bytes)) {
-    s.rows.resize(static_cast<std::size_t>(row_bytes));
-  }
-  if (s.sums.size() < static_cast<std::size_t>(sums)) {
-    s.sums.resize(static_cast<std::size_t>(sums));
-  }
-  return s;
-}
 
 // What one task leaves for the reduction after the region: its executor
 // MACs and its phase times in util::ticks().
@@ -341,12 +259,14 @@ void record_phase_spans(const double (&at)[4]) {
 }
 
 // The fused pipeline odq_conv and OdqConvExecutor::run share: one parallel
-// region of (batch, row tile) tasks against `panels`, the weight panels the
-// caller packed from `weight`'s codes. Each task
+// region of (batch, row tile) tasks (gemm/row_tiles.hpp) against `panels`,
+// the weight panels the caller packed from `weight`'s codes. Each task
 //   1. packs its rows' activation codes into per-thread scratch,
 //   2. runs the predictor tile (the codes' high digits in register against
 //      the high-digit panel) for every filter and applies the threshold,
-//      writing its slice of predictor_acc, acc and mask,
+//      writing its slice of predictor_acc, acc and mask; its sums scratch
+//      holds the raw predictor sums [oc_padded][rows], then one dense filter
+//      block's full-code sums,
 //   3. gives each sensitive output the full-code product sum_p a * w
 //      against the full-code panel — Eq. (3) is an identity, so predictor
 //      plus remainder is exactly that sum — densely per filter block when
@@ -399,14 +319,11 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
           per_row[static_cast<std::size_t>(r)];
     }
   }
-  const std::int64_t row_tiles = (rows + kTaskRows - 1) / kTaskRows;
-  const std::int64_t tasks = n * row_tiles;
+  const std::int64_t tasks =
+      n * ((rows + gemm::kTaskRows - 1) / gemm::kTaskRows);
   std::vector<std::int64_t> counts(static_cast<std::size_t>(tasks * oc), 0);
   std::vector<TaskTally> tally(static_cast<std::size_t>(tasks));
 
-  const std::int64_t task_macs = std::min(rows, kTaskRows) * ocp * kp;
-  const std::int64_t grain = std::max<std::int64_t>(
-      1, (kMinChunkMacs + task_macs - 1) / task_macs);
   // One kernel-table fetch per conv: a backend flip between calls never
   // splits a conv across two kernels.
   const simd::Kernels& kk = simd::active_kernels();
@@ -420,88 +337,74 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
 
   obs::TraceSpan span("odq.tiles");
   util::WallTimer region;
-  util::parallel_for(
-      tasks,
-      [&](std::int64_t t0, std::int64_t t1) {
-        TileScratch& s = tile_scratch(kTaskRows * kp, ocp * kTaskRows);
-        std::uint8_t* a = s.rows.data();
-        std::uint64_t clock = util::ticks();
-        for (std::int64_t t = t0; t < t1; ++t) {
-          double at[4] = {};
-          if (tracing) at[0] = obs::trace_now_us();
-          const std::int64_t b = t / row_tiles;
-          const std::int64_t r0 = (t % row_tiles) * kTaskRows;
-          const std::int64_t nr = std::min(rows - r0, kTaskRows);
-          const std::int64_t nr_pad = gemm::round_up(nr, simd::kTileRows);
+  gemm::for_each_row_tile(geom, n, ocp, kp, [&](const gemm::RowTile& tile) {
+    const std::int64_t t = tile.index;
+    const std::int64_t b = tile.b;
+    const std::int64_t r0 = tile.r0;
+    const std::int64_t nr = tile.nr;
+    const std::int64_t nr_pad = tile.nr_pad;
+    const std::uint8_t* a = tile.rows;
+    std::int32_t* sums = tile.sums;
+    double at[4] = {};
+    if (tracing) at[0] = obs::trace_now_us();
+    const std::uint64_t start = util::ticks();
 
-          // 1. Pack. The pad rows of a short last tile are zeroed so the
-          // kernels only ever read defined codes.
-          gemm::pack_tile_rows(geom, codes + b * c * h * w, r0, r0 + nr, kp,
-                               a);
-          std::fill(a + nr * kp, a + nr_pad * kp, std::uint8_t{0});
-          const std::uint64_t packed = util::ticks();
-          if (tracing) at[1] = obs::trace_now_us();
+    // 1. Pack.
+    gemm::pack_row_tile(geom, codes, kp, tile);
+    const std::uint64_t packed = util::ticks();
+    if (tracing) at[1] = obs::trace_now_us();
 
-          // 2. Predictor for every filter, then the threshold per filter
-          // over the tile's contiguous run of each output plane.
-          kk.tile_u8s8(a, nr_pad, panels.high.data(), ocp, kp, lb,
-                       s.sums.data(), nr_pad);
-          std::int64_t* tile_counts = counts.data() + t * oc;
-          for (std::int64_t f = 0; f < oc; ++f) {
-            const std::int64_t o = (b * oc + f) * rows + r0;
-            tile_counts[f] =
-                kk.threshold(s.sums.data() + f * nr_pad, nr, 2 * lb, scale,
-                             threshold, pred_out + o, acc_out + o,
-                             mask_out + o);
-          }
-          const std::uint64_t predicted = util::ticks();
-          if (tracing) at[2] = obs::trace_now_us();
+    // 2. Predictor for every filter, then the threshold per filter over
+    // the tile's contiguous run of each output plane.
+    kk.tile_u8s8(a, nr_pad, panels.high.data(), ocp, kp, lb, sums, nr_pad);
+    std::int64_t* tile_counts = counts.data() + t * oc;
+    for (std::int64_t f = 0; f < oc; ++f) {
+      const std::int64_t o = (b * oc + f) * rows + r0;
+      tile_counts[f] = kk.threshold(sums + f * nr_pad, nr, 2 * lb, scale,
+                                    threshold, pred_out + o, acc_out + o,
+                                    mask_out + o);
+    }
+    const std::uint64_t predicted = util::ticks();
+    if (tracing) at[2] = obs::trace_now_us();
 
-          // 3. Full-code products for the sensitive outputs, one filter
-          // block (kTileFilters filters x the task's rows) at a time. The
-          // predictor sums are consumed, so their scratch takes the
-          // full-code sums of a dense block.
-          std::int64_t macs = 0;
-          for (std::int64_t f0 = 0; f0 < oc; f0 += simd::kTileFilters) {
-            const std::int64_t nf = std::min(simd::kTileFilters, oc - f0);
-            const std::int8_t* wf = panels.full.data() + f0 * kp;
-            std::int64_t sensitive = 0;
-            for (std::int64_t f = 0; f < nf; ++f) {
-              sensitive += tile_counts[f0 + f];
-            }
-            if (sensitive == 0) continue;
-            const bool dense = sensitive * kDenseDen >= kDenseNum * nf * nr;
-            if (dense) {
-              kk.tile_u8s8(a, nr_pad, wf, simd::kTileFilters, kp, 0,
-                           s.sums.data(), nr_pad);
-            }
-            for (std::int64_t f = 0; f < nf; ++f) {
-              const std::int64_t o = (b * oc + f0 + f) * rows + r0;
-              const std::uint8_t* m = mask_out + o;
-              std::int32_t* acc = acc_out + o;
-              const std::int32_t* full = s.sums.data() + f * nr_pad;
-              for (std::int64_t q = 0; q < nr; ++q) {
-                if (m[q] == 0) continue;
-                acc[q] = dense ? full[q]
-                               : kk.dot_u8s8(a + q * kp, wf + f * kp, kp);
-                const auto r = static_cast<std::size_t>(r0 + q);
-                macs += row_macs[r + 1] - row_macs[r];
-              }
-            }
-          }
-          const std::uint64_t done = util::ticks();
-          tally[static_cast<std::size_t>(t)] = {
-              macs, util::ticks_between(clock, packed),
-              util::ticks_between(packed, predicted),
-              util::ticks_between(predicted, done)};
-          if (tracing) {
-            at[3] = obs::trace_now_us();
-            record_phase_spans(at);
-          }
-          clock = done;
+    // 3. Full-code products for the sensitive outputs, one filter block
+    // (kTileFilters filters x the task's rows) at a time. The predictor
+    // sums are consumed, so their scratch takes the full-code sums of a
+    // dense block.
+    std::int64_t macs = 0;
+    for (std::int64_t f0 = 0; f0 < oc; f0 += simd::kTileFilters) {
+      const std::int64_t nf = std::min(simd::kTileFilters, oc - f0);
+      const std::int8_t* wf = panels.full.data() + f0 * kp;
+      std::int64_t sensitive = 0;
+      for (std::int64_t f = 0; f < nf; ++f) sensitive += tile_counts[f0 + f];
+      if (sensitive == 0) continue;
+      const bool dense = sensitive * kDenseDen >= kDenseNum * nf * nr;
+      if (dense) {
+        kk.tile_u8s8(a, nr_pad, wf, simd::kTileFilters, kp, 0, sums, nr_pad);
+      }
+      for (std::int64_t f = 0; f < nf; ++f) {
+        const std::int64_t o = (b * oc + f0 + f) * rows + r0;
+        const std::uint8_t* m = mask_out + o;
+        std::int32_t* acc = acc_out + o;
+        const std::int32_t* full = sums + f * nr_pad;
+        for (std::int64_t q = 0; q < nr; ++q) {
+          if (m[q] == 0) continue;
+          acc[q] = dense ? full[q] : kk.dot_u8s8(a + q * kp, wf + f * kp, kp);
+          const auto r = static_cast<std::size_t>(r0 + q);
+          macs += row_macs[r + 1] - row_macs[r];
         }
-      },
-      grain);
+      }
+    }
+    const std::uint64_t done = util::ticks();
+    tally[static_cast<std::size_t>(t)] = {
+        macs, util::ticks_between(start, packed),
+        util::ticks_between(packed, predicted),
+        util::ticks_between(predicted, done)};
+    if (tracing) {
+      at[3] = obs::trace_now_us();
+      record_phase_spans(at);
+    }
+  });
   const double wall = region.seconds();
 
   // Reduce the per-task counters in task order, and split the region's
@@ -569,54 +472,28 @@ Tensor odq_conv_float(const Tensor& input, const Tensor& weight,
   return out;
 }
 
-// One conv's weights, prepared once: the float weights the entry was
-// built from (the key run() validates against), their INT4 codes and scale,
-// and the high-digit and full-code tile panels. Immutable once published.
+// One conv's weights, prepared once: their INT4 codes and scale, and the
+// high-digit and full-code tile panels.
 struct OdqConvExecutor::PreparedWeights {
-  Tensor source;
   QTensor codes;
   gemm::TilePanels panels;
-
-  bool matches(const Tensor& weight) const {
-    return source.shape() == weight.shape() &&
-           (weight.numel() == 0 ||
-            std::memcmp(source.data(), weight.data(),
-                        static_cast<std::size_t>(weight.numel()) *
-                            sizeof(float)) == 0);
-  }
 };
-
-std::shared_ptr<const OdqConvExecutor::PreparedWeights>
-OdqConvExecutor::prepared_weights(const Tensor& weight, int conv_id) {
-  const auto id = static_cast<std::size_t>(std::max(conv_id, 0));
-  std::shared_ptr<const PreparedWeights> entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (id < prepared_.size()) entry = prepared_[id];
-  }
-  // Validated by content, outside the lock: whoever wrote the weights since
-  // (an optimizer step, a checkpoint load, a test) needs to tell no one.
-  if (entry != nullptr && entry->matches(weight)) return entry;
-  auto fresh = std::make_shared<PreparedWeights>();
-  fresh->source = weight;
-  fresh->codes = quantize_weight(weight, cfg_);
-  fresh->panels = gemm::pack_tile_panels(fresh->codes.q, cfg_.low_bits);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (prepared_.size() <= id) prepared_.resize(id + 1);
-  prepared_[id] = fresh;
-  return fresh;
-}
 
 Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
                             const Tensor& bias, std::int64_t stride,
                             std::int64_t pad, int conv_id) {
   obs::TraceSpan span("odq.conv");
   span.arg("conv_id", conv_id);
-  const float input_max = checked_input_max(input, conv_id);
+  const float input_max = quant::checked_input_max(input, "odq", conv_id);
   const bool collapsed = input_max <= 0.0f;
   QTensor qin = quantize_input(input, cfg_, input_max);
   const std::shared_ptr<const PreparedWeights> prep =
-      prepared_weights(weight, conv_id);
+      prepared_.get(weight, conv_id, [&](const Tensor& w) {
+        PreparedWeights p;
+        p.codes = quantize_weight(w, cfg_);
+        p.panels = gemm::pack_tile_panels(p.codes.q, cfg_.low_bits);
+        return p;
+      });
   OdqConvResult r =
       cfg_.num_threads == 1
           ? odq_conv_reference(qin, prep->codes, stride, pad, cfg_)

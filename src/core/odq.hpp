@@ -27,6 +27,7 @@
 #include "nn/layer.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
+#include "quant/weight_cache.hpp"
 #include "tensor/tensor.hpp"
 
 namespace odq::core {
@@ -148,8 +149,9 @@ tensor::Tensor odq_conv_float(const tensor::Tensor& input,
 // non-finite threshold is refused when it is set.
 //
 // Weights are quantized and packed once per conv id and reused while the
-// incoming weight tensor keeps the same shape and bytes (validated by
-// content on every call, so weight writers need not notify anyone).
+// incoming weight tensor keeps the same shape and bytes (quant::WeightCache,
+// validated by content on every call, so weight writers need not notify
+// anyone).
 class OdqConvExecutor : public nn::ConvExecutor {
  public:
   // Both throw std::invalid_argument for a non-finite threshold.
@@ -192,21 +194,14 @@ class OdqConvExecutor : public nn::ConvExecutor {
  private:
   struct PreparedWeights;
 
-  // The prepared entry for conv `conv_id`, rebuilt and swapped in when
-  // `weight` differs from the float weights it was built from.
-  std::shared_ptr<const PreparedWeights> prepared_weights(
-      const tensor::Tensor& weight, int conv_id);
-
   OdqConfig cfg_;
   bool calibrate_ = false;
   mutable std::mutex mutex_;
   std::vector<OdqLayerStats> stats_;
   std::vector<std::vector<std::int64_t>> last_channel_counts_;
   std::vector<float> calib_samples_;
-  // Read-only prepared weights per conv id (docs/quantization.md, "Prepared
-  // weights"). Snapshotted and swapped under mutex_; reset_stats() keeps
-  // them.
-  std::vector<std::shared_ptr<const PreparedWeights>> prepared_;
+  // Read-only prepared weights per conv id; reset_stats() keeps them.
+  quant::WeightCache<PreparedWeights> prepared_;
 };
 
 }  // namespace odq::core

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
-#include "gemm/gemm.hpp"
+#include "gemm/row_tiles.hpp"
 #include "obs/fidelity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -102,42 +103,86 @@ float calibrate_input_threshold(const Tensor& input, const DrqConfig& cfg,
       util::percentile(std::move(means), 1.0 - sensitive_fraction));
 }
 
+struct HighWeights {
+  float scale = 1.0f;
+  gemm::WidePanel panel;
+};
+
 namespace {
 
-// Fake-quantize `input` elementwise: mask==1 -> hi bits, mask==0 -> lo bits.
-// Uses the shared per-tensor activation scale so hi/lo grids nest cleanly.
-Tensor mixed_quantize_input(const Tensor& input, const TensorU8& mask,
-                            int hi_bits, int lo_bits) {
-  Tensor hi = quant::fake_quantize_activations(input, hi_bits);
-  Tensor lo = quant::fake_quantize_activations(input, lo_bits);
-  Tensor out(input.shape());
+// m = (2^hi - 1) / (2^lo - 1): the high-grid step of one low-grid step.
+// Throws for configs whose grids do not nest or whose codes exceed a byte.
+std::int32_t grid_ratio(const DrqConfig& cfg) {
+  if (cfg.lo_bits < 2 || cfg.lo_bits > cfg.hi_bits || cfg.hi_bits > 8) {
+    throw std::invalid_argument(
+        "drq: need 2 <= lo_bits <= hi_bits <= 8 (got hi " +
+        std::to_string(cfg.hi_bits) + ", lo " + std::to_string(cfg.lo_bits) +
+        ")");
+  }
+  const std::int32_t hi = (1 << cfg.hi_bits) - 1;
+  const std::int32_t lo = (1 << cfg.lo_bits) - 1;
+  if (hi % lo != 0) {
+    throw std::invalid_argument(
+        "drq: the " + std::to_string(cfg.lo_bits) + "-bit grid does not nest "
+        "in the " + std::to_string(cfg.hi_bits) + "-bit one");
+  }
+  return hi / lo;
+}
+
+// DRQ's mixed-precision input as one code tensor on the high grid, both
+// grids scaled from `clip`: the high code where `mask` is set, else m times
+// the low code.
+quant::QTensor mixed_codes(const Tensor& input, const TensorU8& mask,
+                           const DrqConfig& cfg, float clip) {
+  const std::int32_t m = grid_ratio(cfg);
+  quant::QTensor hi = quant::quantize_activations(input, cfg.hi_bits, clip);
+  const quant::QTensor lo =
+      quant::quantize_activations(input, cfg.lo_bits, clip);
+  auto* q = reinterpret_cast<std::uint8_t*>(hi.q.data());
+  const auto* low = reinterpret_cast<const std::uint8_t*>(lo.q.data());
   util::parallel_for(
       input.numel(),
       [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
-          out[i] = mask[i] != 0 ? hi[i] : lo[i];
+          if (mask[i] == 0) q[i] = static_cast<std::uint8_t>(m * low[i]);
         }
       },
       /*grain=*/1 << 14);
-  return out;
+  return hi;
+}
+
+HighWeights high_weights(const Tensor& weight, const DrqConfig& cfg) {
+  const quant::QTensor codes = quant::quantize_weights(
+      weight, cfg.hi_bits, quant::WeightTransform::kLinear);
+  return {codes.scale, gemm::pack_wide_panel(codes.q)};
+}
+
+// The conv on mixed codes against prepared hi_bits weights.
+Tensor mixed_conv(const Tensor& input, float clip, const TensorU8& mask,
+                  const DrqConfig& cfg, const HighWeights& w,
+                  const Tensor& bias, std::int64_t stride, std::int64_t pad) {
+  const quant::QTensor codes = mixed_codes(input, mask, cfg, clip);
+  return gemm::conv_u8s8(codes.q, w.panel, stride, pad,
+                         codes.scale * w.scale, bias);
 }
 
 }  // namespace
 
+DrqConvExecutor::DrqConvExecutor(DrqConfig cfg) : cfg_(cfg) {
+  (void)grid_ratio(cfg_);
+}
+
 Tensor drq_conv(const Tensor& input, const Tensor& weight, const Tensor& bias,
                 std::int64_t stride, std::int64_t pad, const DrqConfig& cfg,
                 const TensorU8* mask) {
+  const float clip = quant::checked_input_max(input, "drq_conv", -1);
   TensorU8 local_mask;
   if (mask == nullptr) {
     local_mask = input_sensitivity_mask(input, cfg);
     mask = &local_mask;
   }
-  Tensor qin = mixed_quantize_input(input, *mask, cfg.hi_bits, cfg.lo_bits);
-  Tensor qw = quant::fake_quantize_weights(weight, cfg.hi_bits,
-                                           quant::WeightTransform::kLinear);
-  // Packed float GEMM, bit-identical to the conv2d_direct oracle that
-  // analyze_layer and the fidelity layer still run.
-  return gemm::conv2d_f32(qin, qw, bias, stride, pad);
+  return mixed_conv(input, clip, *mask, cfg, high_weights(weight, cfg), bias,
+                    stride, pad);
 }
 
 Tensor DrqConvExecutor::run(const Tensor& input, const Tensor& weight,
@@ -145,6 +190,7 @@ Tensor DrqConvExecutor::run(const Tensor& input, const Tensor& weight,
                             std::int64_t pad, int conv_id) {
   obs::TraceSpan span("drq.conv");
   span.arg("conv_id", conv_id);
+  const float clip = quant::checked_input_max(input, "drq", conv_id);
   DrqConfig cfg = cfg_;
   if (cfg.calibrate_quantile >= 0.0) {
     cfg.input_threshold =
@@ -168,7 +214,10 @@ Tensor DrqConvExecutor::run(const Tensor& input, const Tensor& weight,
     calls.increment();
     frac.record(obs::basis_points(sens));
   }
-  Tensor out = drq_conv(input, weight, bias, stride, pad, cfg, &mask);
+  const auto prep = prepared_.get(weight, conv_id, [&](const Tensor& w) {
+    return high_weights(w, cfg);
+  });
+  Tensor out = mixed_conv(input, clip, mask, cfg, *prep, bias, stride, pad);
   if (obs::fidelity_enabled()) {
     const Tensor ref = tensor::conv2d_direct(input, weight, bias, stride, pad);
     obs::fidelity_record(name(), conv_id, ref.data(), out.data(), out.numel());
@@ -196,17 +245,17 @@ LayerAnalysis analyze_layer(const Tensor& input, const Tensor& weight,
                             const Tensor& bias, std::int64_t stride,
                             std::int64_t pad, const DrqConfig& cfg,
                             float output_threshold) {
+  const float clip = quant::checked_input_max(input, "analyze_layer", -1);
   TensorU8 mask = input_sensitivity_mask(input, cfg);
 
-  // Reference and scheme outputs.
-  Tensor qw = quant::fake_quantize_weights(weight, cfg.hi_bits,
-                                           quant::WeightTransform::kLinear);
-  Tensor in_hi = quant::fake_quantize_activations(input, cfg.hi_bits);
-  Tensor in_lo = quant::fake_quantize_activations(input, cfg.lo_bits);
-
-  Tensor o_hi = tensor::conv2d_direct(in_hi, qw, bias, stride, pad);
-  Tensor o_lo = tensor::conv2d_direct(in_lo, qw, bias, stride, pad);
-  Tensor o_drq = drq_conv(input, weight, bias, stride, pad, cfg, &mask);
+  // The scheme under its own mask and under all-high and all-low masks.
+  const HighWeights w = high_weights(weight, cfg);
+  const auto conv = [&](const TensorU8& m) {
+    return mixed_conv(input, clip, m, cfg, w, bias, stride, pad);
+  };
+  const Tensor o_hi = conv(TensorU8(input.shape(), 1));
+  const Tensor o_lo = conv(TensorU8(input.shape(), 0));
+  const Tensor o_drq = conv(mask);
 
   // Receptive-field share of sensitive inputs per output:
   // conv(mask, ones) / conv(ones, ones) handles borders exactly.

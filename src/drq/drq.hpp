@@ -8,6 +8,14 @@
 // regions use low-precision inputs (lo_bits). Weights are quantized at
 // hi_bits everywhere. Outputs are therefore produced from a mix of high- and
 // low-precision inputs — the inefficiency ODQ is built to remove.
+//
+// On the host the mixed input is one integer code tensor on the high grid:
+// with one per-tensor clip, a low-precision code c sits on the high grid at
+// exactly m * c, m = (2^hi - 1) / (2^lo - 1) (17 for 8/4, 5 for 4/2). The
+// conv is one exact u8 x s8 product per output on the row-tile pass
+// (gemm::conv_u8s8), dequantized once with scale clip / (2^hi - 1) times the
+// weight scale. Configs whose grids do not nest (m not an integer) or whose
+// high codes exceed 8 bits are refused with std::invalid_argument.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +23,7 @@
 #include <vector>
 
 #include "nn/layer.hpp"
+#include "quant/weight_cache.hpp"
 #include "tensor/tensor.hpp"
 
 namespace odq::drq {
@@ -41,9 +50,10 @@ float calibrate_input_threshold(const tensor::Tensor& input,
                                 const DrqConfig& cfg,
                                 double sensitive_fraction);
 
-// Mixed-precision convolution: inputs are fake-quantized at hi/lo bits
-// according to `mask` (computed from cfg when null); weights at hi_bits.
-// Returns the float output (bias applied).
+// Mixed-precision convolution: inputs are quantized at hi/lo bits according
+// to `mask` (computed from cfg when null); weights at hi_bits. Returns the
+// float output (bias applied). Throws std::invalid_argument for a NaN or
+// ±inf input and for a config the constructor below refuses.
 tensor::Tensor drq_conv(const tensor::Tensor& input,
                         const tensor::Tensor& weight,
                         const tensor::Tensor& bias, std::int64_t stride,
@@ -63,10 +73,18 @@ struct DrqLayerStats {
   }
 };
 
-// ConvExecutor plugging DRQ into any Model.
+// A conv's hi_bits weight scale and code panel (drq.cpp).
+struct HighWeights;
+
+// ConvExecutor plugging DRQ into any Model. A NaN or ±inf activation
+// throws std::invalid_argument naming the conv (docs/robustness.md).
+// Weights are prepared once per conv id and revalidated by content on every
+// call (quant::WeightCache).
 class DrqConvExecutor : public nn::ConvExecutor {
  public:
-  explicit DrqConvExecutor(DrqConfig cfg) : cfg_(cfg) {}
+  // Throws std::invalid_argument when lo_bits < 2, lo_bits > hi_bits,
+  // hi_bits > 8, or 2^lo - 1 does not divide 2^hi - 1.
+  explicit DrqConvExecutor(DrqConfig cfg);
 
   tensor::Tensor run(const tensor::Tensor& input, const tensor::Tensor& weight,
                      const tensor::Tensor& bias, std::int64_t stride,
@@ -86,6 +104,7 @@ class DrqConvExecutor : public nn::ConvExecutor {
   DrqConfig cfg_;
   mutable std::mutex mutex_;
   std::vector<DrqLayerStats> stats_;
+  quant::WeightCache<HighWeights> prepared_;
 };
 
 // ---------------------------------------------------------------------------
@@ -111,6 +130,9 @@ struct LayerAnalysis {
 
 // Analyze one conv layer under DRQ. `output_threshold` defines output
 // sensitivity (|reference output| > threshold), mirroring ODQ's criterion.
+// O_hi and O_lo are the DRQ conv under all-high and all-low masks, so an
+// output whose receptive field is all high (low) precision equals O_hi
+// (O_lo) exactly.
 LayerAnalysis analyze_layer(const tensor::Tensor& input,
                             const tensor::Tensor& weight,
                             const tensor::Tensor& bias, std::int64_t stride,

@@ -147,4 +147,27 @@ TilePanels pack_tile_panels(const TensorI8& weight, int low_bits) {
   return out;
 }
 
+WidePanel pack_wide_panel(const TensorI8& weight) {
+  const Shape& ws = weight.shape();
+  if (ws.rank() != 4) {
+    throw std::invalid_argument("gemm::pack_wide_panel: weight must be OIHW");
+  }
+  WidePanel out;
+  out.shape = ws;
+  out.oc_padded = round_up(ws[0], simd::kTileFilters);
+  const std::int64_t k = ws[1] * ws[2] * ws[3];
+  out.k_padded = pad_k(k);
+  if (out.k_padded > simd::kMaxExactDepth) {
+    throw std::invalid_argument(
+        "gemm::pack_wide_panel: depth exceeds the int32 accumulator budget");
+  }
+  out.w.assign(static_cast<std::size_t>(out.oc_padded * out.k_padded), 0);
+  for (std::int64_t f = 0; f < ws[0]; ++f) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      out.w[static_cast<std::size_t>(f * out.k_padded + p)] = weight[f * k + p];
+    }
+  }
+  return out;
+}
+
 }  // namespace odq::gemm

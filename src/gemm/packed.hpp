@@ -1,6 +1,7 @@
-// Packed operands of the ODQ integer conv: activation row tiles and the
-// prepared weight panels (float convs use tensor::im2col and the float GEMM
-// in gemm/sgemm.hpp instead).
+// Packed operands of the integer convs (ODQ's, and the exact u8 x s8 conv of
+// the static INT-N and DRQ baselines): activation row tiles and the prepared
+// weight panels (float convs use tensor::im2col and the float GEMM in
+// gemm/sgemm.hpp instead).
 //
 // A conv is a product of an im2col matrix [OH*OW, C*KH*KW] per batch
 // element with a filter panel [OC, C*KH*KW]. Neither is ever built whole:
@@ -13,9 +14,11 @@
 //   * The depth K = C*KH*KW is zero-padded to a multiple of kKTile, so the
 //     kernels never handle a remainder. Zero entries contribute nothing to
 //     any integer product, so padding is invisible to the accumulators.
-//   * Weights are packed once per conv (TilePanels): a high-digit panel for
-//     the predictor and a full-code panel for Eq. (3)'s full product, with
-//     the filter count padded to the kernels' register block.
+//   * Weights are packed once per conv, with the filter count padded to the
+//     kernels' register block: for ODQ (TilePanels) a high-digit panel for
+//     the predictor and a full-code panel for Eq. (3)'s full product; for
+//     the baselines (WidePanel) the codes widened to int16, the operand the
+//     exact tile multiplies by u8 codes of up to 255.
 #pragma once
 
 #include <cstdint>
@@ -74,5 +77,19 @@ struct TilePanels {
 // Panels from OIHW weight codes. Throws std::invalid_argument for a
 // non-OIHW tensor or a depth beyond simd::kMaxDotDepth.
 TilePanels pack_tile_panels(const tensor::TensorI8& weight, int low_bits);
+
+// The prepared weights of the exact integer conv: filter f's signed codes
+// widened to int16 at row f, k_padded entries each, zero in the depth
+// padding and in the filters past `shape[0]`.
+struct WidePanel {
+  tensor::Shape shape;         // OIHW shape of the codes
+  std::int64_t oc_padded = 0;  // shape[0] rounded up to simd::kTileFilters
+  std::int64_t k_padded = 0;   // pad_k(C * KH * KW)
+  std::vector<std::int16_t> w;
+};
+
+// Panel from OIHW weight codes. Throws std::invalid_argument for a non-OIHW
+// tensor or a depth beyond simd::kMaxExactDepth.
+WidePanel pack_wide_panel(const tensor::TensorI8& weight);
 
 }  // namespace odq::gemm

@@ -1,6 +1,6 @@
 // The one float GEMM: C = C0 + A·B, for every float conv and fully connected
 // layer (Conv2d forward and backward, Linear, and gemm::conv2d_f32 behind the
-// static INT-N and DRQ executors).
+// static INT16 executor).
 //
 // Summation order is part of the contract. Each output starts at its C0 and
 // adds its K terms in order, one rounded multiply and one rounded add per

@@ -1,9 +1,10 @@
 // Quantized tensors: integer codes plus a per-tensor scale.
 //
 // Real value ≈ code * scale. Signed tensors use symmetric ranges
-// [-(2^(b-1)-1), 2^(b-1)-1]; unsigned tensors use [0, 2^b - 1]. INT4 and
-// INT2 codes are stored widened in int8 (one code per byte) — the simulator
-// and accelerator model account for true bit widths separately.
+// [-(2^(b-1)-1), 2^(b-1)-1]; unsigned tensors use [0, 2^b - 1]. Codes are
+// stored one per byte of int8 storage (unsigned 8-bit codes as their byte,
+// read as std::uint8_t) — the simulator and accelerator model account for
+// true bit widths separately.
 #pragma once
 
 #include <cstdint>

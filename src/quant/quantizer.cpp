@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace odq::quant {
 
@@ -21,7 +22,9 @@ tensor::Tensor QTensor::dequantize() const {
   const std::int8_t* src = q.data();
   float* dst = out.data();
   for (std::int64_t i = 0; i < q.numel(); ++i) {
-    dst[i] = static_cast<float>(src[i]) * scale;
+    const std::int32_t code =
+        is_signed ? src[i] : static_cast<std::uint8_t>(src[i]);
+    dst[i] = static_cast<float>(code) * scale;
   }
   return out;
 }
@@ -79,10 +82,9 @@ QTensor quantize_weights(const Tensor& w, int bits, WeightTransform transform) {
 }
 
 QTensor quantize_activations(const Tensor& x, int bits, float clip) {
-  // Unsigned codes live in int8 storage, so at most 7 bits here. Wider
-  // activations (INT8/INT16 baselines) use fake_quantize_activations.
-  if (bits < 2 || bits > 7) {
-    throw std::invalid_argument("quantize_activations: bits must be in [2,7]");
+  // One code per byte of the int8 storage, unsigned: at most 8 bits.
+  if (bits < 2 || bits > 8) {
+    throw std::invalid_argument("quantize_activations: bits must be in [2,8]");
   }
   QTensor out;
   out.bits = bits;
@@ -90,14 +92,15 @@ QTensor quantize_activations(const Tensor& x, int bits, float clip) {
   out.q = TensorI8(x.shape());
   const std::int32_t qmax = out.qmax();
   float xmax = clip;
-  if (xmax <= 0.0f) {
+  if (xmax < 0.0f) {
     xmax = 0.0f;
     for (std::int64_t i = 0; i < x.numel(); ++i) xmax = std::max(xmax, x[i]);
   }
   out.scale = (xmax > 0.0f ? xmax : 1.0f) / static_cast<float>(qmax);
   const simd::QuantizeActFn quantize = simd::active_kernels().quantize_act;
   const float* src = x.data();
-  std::int8_t* dst = out.q.data();
+  // Unsigned bytes through a byte pointer, which may alias the int8 storage.
+  auto* dst = reinterpret_cast<std::uint8_t*>(out.q.data());
   const float scale = out.scale;
   util::parallel_for(
       x.numel(),
@@ -107,6 +110,44 @@ QTensor quantize_activations(const Tensor& x, int bits, float clip) {
       },
       /*grain=*/1 << 14);
   return out;
+}
+
+float checked_input_max(const Tensor& input, const char* scheme,
+                        int conv_id) {
+  // Each lane keeps a running max (NaN never wins the compare) and a poison
+  // sum of v - v, which is 0 for finite v and NaN for NaN or ±inf; the
+  // verdict is taken once, after the loop.
+  constexpr std::int64_t kLanes = 8;
+  float mx[kLanes] = {};
+  float poison[kLanes] = {};
+  const float* p = input.data();
+  const std::int64_t n = input.numel();
+  std::int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      const float v = p[i + l];
+      mx[l] = v > mx[l] ? v : mx[l];
+      poison[l] += v - v;
+    }
+  }
+  for (std::int64_t l = 0; i < n; ++i, ++l) {
+    const float v = p[i];
+    mx[l] = v > mx[l] ? v : mx[l];
+    poison[l] += v - v;
+  }
+  float amax = 0.0f;
+  float bad = 0.0f;
+  for (std::int64_t l = 0; l < kLanes; ++l) {
+    amax = mx[l] > amax ? mx[l] : amax;
+    bad += poison[l];
+  }
+  if (bad != bad) {
+    const std::string conv =
+        conv_id >= 0 ? "conv " + std::to_string(conv_id) + " input" : "input";
+    throw std::invalid_argument(std::string(scheme) + ": " + conv +
+                                " holds a non-finite value (NaN or inf)");
+  }
+  return amax;
 }
 
 float activation_clip_from_percentile(const Tensor& x, float percentile) {
@@ -193,7 +234,7 @@ Tensor fake_quantize_activations(const Tensor& x, int bits, float clip) {
   }
   const float qmax = static_cast<float>((1 << bits) - 1);
   float xmax = clip;
-  if (xmax <= 0.0f) {
+  if (xmax < 0.0f) {
     xmax = 0.0f;
     for (std::int64_t i = 0; i < x.numel(); ++i) xmax = std::max(xmax, x[i]);
   }

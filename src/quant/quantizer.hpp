@@ -27,12 +27,23 @@ QTensor quantize_weights(const tensor::Tensor& w, int bits,
                          WeightTransform transform = WeightTransform::kLinear);
 
 // Quantize activations (assumed >= 0 after ReLU; negatives are clipped) to
-// `bits` unsigned levels using per-tensor max calibration. If `clip` > 0 it
-// overrides the calibrated maximum (DoReFa uses a fixed clip of 1.0).
-// bits must be in [2,7] (codes are stored in int8); wider baselines use
+// `bits` unsigned levels through the SIMD quantizer, with scale
+// clip / (2^bits - 1). A `clip` >= 0 is taken as given (a caller that
+// scanned the input passes its max; DoReFa uses a fixed clip of 1.0), and a
+// clip of 0, an input with no positive value, gives scale 1 / (2^bits - 1)
+// and all-zero codes. A negative clip scans the input for its max. bits
+// must be in [2,8]; 8-bit codes above 127 are stored as their byte, so read
+// them as std::uint8_t (QTensor::dequantize does). INT16 uses
 // fake_quantize_activations.
 QTensor quantize_activations(const tensor::Tensor& x, int bits,
                              float clip = -1.0f);
+
+// The input max that the quantized convs take as their activation clip, 0
+// when no value is positive. Throws std::invalid_argument naming `scheme`
+// and the conv (when conv_id >= 0) if a value is NaN or ±inf: every scheme
+// would turn it into meaningless outputs. One branch-free linear scan.
+float checked_input_max(const tensor::Tensor& input, const char* scheme,
+                        int conv_id);
 
 // Quantize a tensor with signed symmetric levels (used when a conv input can
 // be negative, e.g. the raw image at the first layer).
@@ -49,8 +60,9 @@ float activation_clip_from_percentile(const tensor::Tensor& x,
 
 // Round a float tensor through a b-bit quantizer and back (fake
 // quantization). Supports 2..16 bits (codes are held in float, so they are
-// exact up to 16 bits). Used by the static INT16/INT8 baselines and by
-// quantization-aware training with a straight-through estimator.
+// exact up to 16 bits). Used by the static INT16 baseline, whose codes do
+// not fit an int32 product sum. The activation clip follows
+// quantize_activations: >= 0 is taken as given, < 0 scans.
 tensor::Tensor fake_quantize_weights(const tensor::Tensor& w, int bits,
                                      WeightTransform transform);
 tensor::Tensor fake_quantize_activations(const tensor::Tensor& x, int bits,

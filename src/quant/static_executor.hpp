@@ -1,10 +1,24 @@
-// Static quantization executor: DoReFa-Net-style INT16 / INT8 / INT4
-// inference (the paper's static baselines). Weights and activations are
-// quantized per-tensor at a fixed bit width for every conv layer.
+// Static quantization executor: the paper's static INT16 / INT8 / INT4
+// baselines (DoReFa-Net-style inference). Weights and activations are
+// quantized per tensor at one fixed bit width for every conv layer.
+//
+// Widths up to 8 run as integers: u8 activation codes (the SIMD quantizer,
+// with the input max as clip) against the s8 weight codes of
+// quantize_weights, one exact int32 product per output on the row-tile
+// pass (gemm::conv_u8s8), dequantized once:
+//   out = float(acc) * (s_a * s_w) + bias.
+// INT16 is the one fake-quantized width: its codes do not fit an int32 sum,
+// so it rounds inputs and weights through the 16-bit grids in float and
+// runs gemm::conv2d_f32.
+//
+// Input contract (docs/robustness.md): a NaN or ±inf activation throws
+// std::invalid_argument naming the conv. Weights are prepared once per conv
+// id and revalidated by content on every call (quant::WeightCache).
 #pragma once
 
 #include "nn/layer.hpp"
 #include "quant/quantizer.hpp"
+#include "quant/weight_cache.hpp"
 
 namespace odq::quant {
 
@@ -26,7 +40,10 @@ class StaticQuantConvExecutor : public nn::ConvExecutor {
   int bits() const { return bits_; }
 
  private:
+  struct PreparedWeights;
+
   int bits_;
+  WeightCache<PreparedWeights> prepared_;
 };
 
 }  // namespace odq::quant

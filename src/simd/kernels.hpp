@@ -1,5 +1,6 @@
-// Bit-exact SIMD kernels: the ODQ integer tile kernels, the activation
-// quantizer, and the float GEMM tile.
+// Bit-exact SIMD kernels: the ODQ integer tile kernels, the exact u8 x s8
+// tile of the integer baselines, the activation quantizer, and the float
+// GEMM tile.
 //
 // The integer kernels compute *integer* sums whose value is independent of
 // accumulation order, and the quantizer and the threshold epilogue are
@@ -26,10 +27,13 @@
 //   * `kp` is the padded depth of a packed row (gemm/packed.hpp): a multiple
 //     of kKTileLanes (16). Vector loops step 32 bytes and finish with one
 //     16-byte block; scalar loops never need a tail.
-//   * Activation operands are unsigned codes in [0, 127] (at most 7 bits,
-//     which odq_conv enforces); weight operands are signed bytes. So a pair
-//     of products fits int16 without saturating (the maddubs budget below),
-//     and the whole sum fits int32 up to kMaxDotDepth.
+//   * For the ODQ kernels (tile_u8s8, dot_u8s8), activation operands are
+//     unsigned codes in [0, 127] (at most 7 bits, which odq_conv enforces);
+//     weight operands are signed bytes. So a pair of products fits int16
+//     without saturating (the maddubs budget below), and the whole sum fits
+//     int32 up to kMaxDotDepth. The exact tile (tile_u8s8_exact) takes any
+//     unsigned byte against weights in [-128, 127] held as int16, and its
+//     sums fit int32 up to kMaxExactDepth.
 //   * Padding lanes (entries in [k, kp)) are zero in at least one operand,
 //     so they contribute exact zeros — kernels multiply them unconditionally.
 //
@@ -63,7 +67,19 @@ inline constexpr std::int64_t kMaxDotDepth =
 static_assert(kMaxDotDepth * kMaxLaneProduct <= (std::int64_t{1} << 31) - 1,
               "an int32 accumulator must hold kMaxDotDepth full products");
 
-// ODQ integer tile: kTileRows activation rows x kTileFilters filters per
+// Budget 3, the exact tile: _mm256_madd_epi16 multiplies widened u8 codes
+// (up to 255) by int16 weights (down to -128) and adds pairs into int32
+// lanes, so no step saturates, and a sum over kp taps is at most
+// 255 * 128 * kp in magnitude: exact in int32 up to kMaxExactDepth (~65k
+// taps).
+inline constexpr std::int64_t kMaxWideProduct = 255 * 128;
+inline constexpr std::int64_t kMaxExactDepth =
+    ((std::int64_t{1} << 31) - 1) / kMaxWideProduct / kKTileLanes *
+    kKTileLanes;
+static_assert(kMaxExactDepth * kMaxWideProduct <= (std::int64_t{1} << 31) - 1,
+              "255 * 128 * kp must fit an int32 accumulator");
+
+// Integer tiles: kTileRows activation rows x kTileFilters filters per
 // register block.
 inline constexpr std::int64_t kTileRows = 4;
 inline constexpr std::int64_t kTileFilters = 2;
@@ -79,6 +95,17 @@ using TileU8S8Fn = void (*)(const std::uint8_t* a, std::int64_t rows,
                             const std::int8_t* w, std::int64_t filters,
                             std::int64_t kp, int shift, std::int32_t* c,
                             std::int64_t ldc);
+
+// Exact u8 x s8 tile over packed rows and a weight panel widened to int16
+// (row r of `a` at a + r * kp, filter f of `w` at w + f * kp):
+//   c[f * ldc + r] = sum_p a[r*kp + p] * w[f*kp + p]
+// for any activation byte and weights in [-128, 127], with rows and filters
+// multiples of kTileRows and kTileFilters and kp <= kMaxExactDepth. The
+// static INT-N (N <= 8) and DRQ convs run on it.
+using TileU8S8ExactFn = void (*)(const std::uint8_t* a, std::int64_t rows,
+                                 const std::int16_t* w, std::int64_t filters,
+                                 std::int64_t kp, std::int32_t* c,
+                                 std::int64_t ldc);
 
 // One full-code dot, sum_p a[p] * w[p]: the gathered form of a sensitive
 // output's full product.
@@ -104,9 +131,9 @@ using ThresholdFn = std::int64_t (*)(const std::int32_t* raw, std::int64_t n,
 // one, because 0 and qmax are integers. The quotient is a true divide, never
 // a multiply by 1/scale: the reciprocal is itself rounded, so x * (1/scale)
 // can land on the other side of an exact .5 tie and move a code. qmax must
-// be an integer in [0, 127].
+// be an integer in [0, 255].
 using QuantizeActFn = void (*)(const float* x, std::int64_t n, float scale,
-                               float qmax, std::int8_t* q);
+                               float qmax, std::uint8_t* q);
 
 // Float GEMM register tile: kGemmMr rows x kGemmNr columns of C.
 inline constexpr std::int64_t kGemmMr = 4;
@@ -123,6 +150,7 @@ using GemmF32TileFn = void (*)(std::int64_t kc, const float* a,
 struct Kernels {
   const char* name;
   TileU8S8Fn tile_u8s8;
+  TileU8S8ExactFn tile_u8s8_exact;
   DotU8S8Fn dot_u8s8;
   ThresholdFn threshold;
   QuantizeActFn quantize_act;
@@ -137,6 +165,10 @@ void tile_u8s8_scalar(const std::uint8_t* a, std::int64_t rows,
                       const std::int8_t* w, std::int64_t filters,
                       std::int64_t kp, int shift, std::int32_t* c,
                       std::int64_t ldc);
+void tile_u8s8_exact_scalar(const std::uint8_t* a, std::int64_t rows,
+                            const std::int16_t* w, std::int64_t filters,
+                            std::int64_t kp, std::int32_t* c,
+                            std::int64_t ldc);
 std::int32_t dot_u8s8_scalar(const std::uint8_t* a, const std::int8_t* w,
                              std::int64_t kp);
 std::int64_t threshold_scalar(const std::int32_t* raw, std::int64_t n,

@@ -1,5 +1,5 @@
-// AVX2 backend: the ODQ integer tile kernels, the threshold epilogue, the
-// activation quantizer, and the float GEMM tile.
+// AVX2 backend: the ODQ integer tile kernels, the exact u8 x s8 tile, the
+// threshold epilogue, the activation quantizer, and the float GEMM tile.
 //
 // This is the only TU in the library compiled with -mavx2 (per-source flag
 // in src/CMakeLists.txt), so the rest of the binary stays plain x86-64 and
@@ -22,6 +22,12 @@
 // Integer addition is associative, so the lane-parallel sums are
 // bit-identical to the scalar reference for every input.
 //
+// The exact tile keeps that register block but steps 16 taps at a time:
+// each row's 16 activation bytes are widened to int16 (_mm256_cvtepu8_epi16)
+// and _mm256_madd_epi16 multiplies them by the filter's 16 int16 weights
+// and adds adjacent pairs into int32 lanes. No step saturates for any code
+// up to 255 (kernels.hpp, budget 3).
+//
 // The threshold epilogue runs 8 outputs per step: shift, store, then
 // _mm256_cvtepi32_ps, _mm256_mul_ps, a sign-bit clear and
 // _mm256_cmp_ps(_CMP_GE_OQ) — each correctly rounded and the same as the
@@ -31,7 +37,8 @@
 // correctly rounded quotient as the scalar divide), max/min against 0 and
 // qmax (maxps returns its second operand when the first is NaN, so NaN
 // maps to 0 as in the scalar `v > 0 ? v : 0`), then _mm256_round_ps to
-// nearest-even — the scalar nearbyint under the default rounding mode.
+// nearest-even — the scalar nearbyint under the default rounding mode —
+// and an unsigned-saturating pack to bytes, exact for codes up to 255.
 #include "simd/kernels.hpp"
 
 #if defined(__AVX2__)
@@ -61,14 +68,11 @@ inline __m256i act_bytes(__m256i x, __m128i shift, __m256i digit_mask) {
 struct BlockAcc {
   __m256i c00, c01, c02, c03, c10, c11, c12, c13;
 
-  // One depth step: rows x0..x3 against filters b0, b1. maddubs adds pairs
-  // of u8 x s8 products into int16 lanes; madd by ones widens adjacent
-  // pairs into int32.
+  // One depth step: rows x0..x3 against filters b0, b1, each product
+  // block reduced to int32 lanes by `mac`.
+  template <typename Mac>
   inline void step(__m256i x0, __m256i x1, __m256i x2, __m256i x3, __m256i b0,
-                   __m256i b1, __m256i ones) {
-    const auto mac = [ones](__m256i x, __m256i b) {
-      return _mm256_madd_epi16(_mm256_maddubs_epi16(x, b), ones);
-    };
+                   __m256i b1, Mac mac) {
     c00 = _mm256_add_epi32(c00, mac(x0, b0));
     c01 = _mm256_add_epi32(c01, mac(x1, b0));
     c02 = _mm256_add_epi32(c02, mac(x2, b0));
@@ -100,6 +104,16 @@ inline __m256i load16(const void* p) {
       _mm_loadu_si128(static_cast<const __m128i*>(p)));
 }
 
+// Stores a block's eight sums: filter 0's rows at c, filter 1's at c + ldc.
+inline void store_block(const BlockAcc& acc, std::int32_t* c,
+                        std::int64_t ldc) {
+  const __m256i sums = acc.reduce();
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(c),
+                   _mm256_castsi256_si128(sums));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(c + ldc),
+                   _mm256_extracti128_si256(sums, 1));
+}
+
 template <bool kDigits>
 void tile_block(const std::uint8_t* a, const std::int8_t* w, std::int64_t kp,
                 __m128i shift, __m256i digit_mask, std::int32_t* c,
@@ -107,6 +121,11 @@ void tile_block(const std::uint8_t* a, const std::int8_t* w, std::int64_t kp,
   const __m256i ones = _mm256_set1_epi16(1);
   const auto digits = [&](__m256i x) {
     return act_bytes<kDigits>(x, shift, digit_mask);
+  };
+  // maddubs adds pairs of u8 x s8 products into int16 lanes; madd by ones
+  // widens adjacent pairs into int32.
+  const auto mac = [ones](__m256i x, __m256i b) {
+    return _mm256_madd_epi16(_mm256_maddubs_epi16(x, b), ones);
   };
   const std::uint8_t* a1 = a + kp;
   const std::uint8_t* a2 = a + 2 * kp;
@@ -117,19 +136,15 @@ void tile_block(const std::uint8_t* a, const std::int8_t* w, std::int64_t kp,
   for (; p + 32 <= kp; p += 32) {
     acc.step(digits(load32(a + p)), digits(load32(a1 + p)),
              digits(load32(a2 + p)), digits(load32(a3 + p)), load32(w + p),
-             load32(w1 + p), ones);
+             load32(w1 + p), mac);
   }
   if (p < kp) {
     // The 16-byte tail: the upper lanes are zero in both operands.
     acc.step(digits(load16(a + p)), digits(load16(a1 + p)),
              digits(load16(a2 + p)), digits(load16(a3 + p)), load16(w + p),
-             load16(w1 + p), ones);
+             load16(w1 + p), mac);
   }
-  const __m256i sums = acc.reduce();
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(c),
-                   _mm256_castsi256_si128(sums));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(c + ldc),
-                   _mm256_extracti128_si256(sums, 1));
+  store_block(acc, c, ldc);
 }
 
 template <bool kDigits>
@@ -157,6 +172,38 @@ void tile_u8s8_avx2(const std::uint8_t* a, std::int64_t rows,
     tile_loop<false>(a, rows, w, filters, kp, 0, c, ldc);
   } else {
     tile_loop<true>(a, rows, w, filters, kp, shift, c, ldc);
+  }
+}
+
+// 16 activation bytes widened to 16 int16 lanes.
+inline __m256i widen16(const std::uint8_t* p) {
+  return _mm256_cvtepu8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+void tile_block_exact(const std::uint8_t* a, const std::int16_t* w,
+                      std::int64_t kp, std::int32_t* c, std::int64_t ldc) {
+  const std::uint8_t* a1 = a + kp;
+  const std::uint8_t* a2 = a + 2 * kp;
+  const std::uint8_t* a3 = a + 3 * kp;
+  const std::int16_t* w1 = w + kp;
+  const auto mac = [](__m256i x, __m256i b) { return _mm256_madd_epi16(x, b); };
+  BlockAcc acc{};
+  for (std::int64_t p = 0; p < kp; p += 16) {
+    acc.step(widen16(a + p), widen16(a1 + p), widen16(a2 + p),
+             widen16(a3 + p), load32(w + p), load32(w1 + p), mac);
+  }
+  store_block(acc, c, ldc);
+}
+
+void tile_u8s8_exact_avx2(const std::uint8_t* a, std::int64_t rows,
+                          const std::int16_t* w, std::int64_t filters,
+                          std::int64_t kp, std::int32_t* c, std::int64_t ldc) {
+  // Filter blocks outermost, as in tile_loop.
+  for (std::int64_t f = 0; f < filters; f += kTileFilters) {
+    for (std::int64_t r = 0; r < rows; r += kTileRows) {
+      tile_block_exact(a + r * kp, w + f * kp, kp, c + f * ldc + r, ldc);
+    }
   }
 }
 
@@ -221,21 +268,21 @@ std::int64_t threshold_avx2(const std::int32_t* raw, std::int64_t n,
 }
 
 // Eight codes from eight floats; the clamped, rounded values are integers
-// in [0, 127], so the int32 conversion and the two saturating packs are
-// exact.
+// in [0, 255], so the int32 conversion, the signed pack to int16 and the
+// unsigned-saturating pack to bytes are exact.
 inline void quantize8(const float* x, __m256 scale, __m256 qmax,
-                      std::int8_t* q) {
+                      std::uint8_t* q) {
   __m256 v = _mm256_div_ps(_mm256_loadu_ps(x), scale);
   v = _mm256_min_ps(_mm256_max_ps(v, _mm256_setzero_ps()), qmax);
   v = _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   const __m256i c32 = _mm256_cvtps_epi32(v);
   const __m128i c16 = _mm_packs_epi32(_mm256_castsi256_si128(c32),
                                       _mm256_extracti128_si256(c32, 1));
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(q), _mm_packs_epi16(c16, c16));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(q), _mm_packus_epi16(c16, c16));
 }
 
 void quantize_act_avx2(const float* x, std::int64_t n, float scale,
-                       float qmax, std::int8_t* q) {
+                       float qmax, std::uint8_t* q) {
   const __m256 vs = _mm256_set1_ps(scale);
   const __m256 vq = _mm256_set1_ps(qmax);
   std::int64_t i = 0;
@@ -244,7 +291,7 @@ void quantize_act_avx2(const float* x, std::int64_t n, float scale,
     // Tail through the same vector step, so it cannot drift from the body.
     const auto rest = static_cast<std::size_t>(n - i);
     float buf[8] = {};
-    std::int8_t codes[8];
+    std::uint8_t codes[8];
     std::memcpy(buf, x + i, rest * sizeof(float));
     quantize8(buf, vs, vq, codes);
     std::memcpy(q + i, codes, rest);
@@ -295,9 +342,10 @@ void gemm_f32_tile_avx2(std::int64_t kc, const float* a, const float* b,
   _mm256_storeu_ps(c3 + 8, acc31);
 }
 
-constexpr Kernels kAvx2Kernels = {"avx2",         tile_u8s8_avx2,
-                                  dot_u8s8_avx2,  threshold_avx2,
-                                  quantize_act_avx2, gemm_f32_tile_avx2};
+constexpr Kernels kAvx2Kernels = {
+    "avx2",        tile_u8s8_avx2, tile_u8s8_exact_avx2,
+    dot_u8s8_avx2, threshold_avx2, quantize_act_avx2,
+    gemm_f32_tile_avx2};
 
 }  // namespace
 

@@ -1,9 +1,10 @@
 // NEON (AArch64) backend: the activation quantizer, built only where
 // __ARM_NEON is baseline (no per-TU flag needed on AArch64). On every other
 // target this TU is the nullptr stub and the `simd`-labelled tests skip the
-// backend cleanly. The integer tile kernels, the threshold epilogue and the
-// float GEMM tile are the scalar ones: their results are fixed by the
-// contract in kernels.hpp, so a NEON version would change speed, not bits.
+// backend cleanly. The integer tile kernels (the exact tile too), the
+// threshold epilogue and the float GEMM tile are the scalar ones: their
+// results are fixed by the contract in kernels.hpp, so a NEON version would
+// change speed, not bits.
 //
 // The activation quantizer runs 4 floats per step: vdivq_f32 (correctly
 // rounded, like the scalar divide), vmaxnmq_f32 against 0 (maxNum returns
@@ -22,9 +23,9 @@ namespace odq::simd {
 
 namespace {
 
-// Four codes from four floats (integers in [0, 127] after the clamp and
-// round, so the int32 conversion and both narrowings are exact), returned
-// in the low four lanes.
+// Four codes from four floats (integers in [0, 255] after the clamp and
+// round, so the int32 conversion is exact, and both narrowings keep the low
+// byte, which is the code), returned in the low four lanes.
 inline int8x8_t quantize4(const float* x, float32x4_t scale,
                           float32x4_t qmax) {
   float32x4_t v = vdivq_f32(vld1q_f32(x), scale);
@@ -34,7 +35,7 @@ inline int8x8_t quantize4(const float* x, float32x4_t scale,
 }
 
 void quantize_act_neon(const float* x, std::int64_t n, float scale,
-                       float qmax, std::int8_t* q) {
+                       float qmax, std::uint8_t* q) {
   const float32x4_t vs = vdupq_n_f32(scale);
   const float32x4_t vq = vdupq_n_f32(qmax);
   std::int8_t codes[8];
@@ -55,9 +56,10 @@ void quantize_act_neon(const float* x, std::int64_t n, float scale,
 
 // This table has not been built or run on AArch64 yet; treat the NEON path
 // as unverified.
-constexpr Kernels kNeonKernels = {"neon",          tile_u8s8_scalar,
-                                  dot_u8s8_scalar, threshold_scalar,
-                                  quantize_act_neon, gemm_f32_tile_scalar};
+constexpr Kernels kNeonKernels = {
+    "neon",          tile_u8s8_scalar, tile_u8s8_exact_scalar,
+    dot_u8s8_scalar, threshold_scalar, quantize_act_neon,
+    gemm_f32_tile_scalar};
 
 }  // namespace
 

@@ -13,18 +13,19 @@ namespace odq::simd {
 namespace {
 
 void quantize_act_scalar(const float* x, std::int64_t n, float scale,
-                         float qmax, std::int8_t* q) {
+                         float qmax, std::uint8_t* q) {
   for (std::int64_t i = 0; i < n; ++i) {
     float v = x[i] / scale;
     v = v > 0.0f ? v : 0.0f;  // also maps NaN to 0
     v = v < qmax ? v : qmax;
-    q[i] = static_cast<std::int8_t>(std::nearbyint(v));
+    q[i] = static_cast<std::uint8_t>(std::nearbyint(v));
   }
 }
 
-constexpr Kernels kScalarKernels = {"scalar",         tile_u8s8_scalar,
-                                    dot_u8s8_scalar,  threshold_scalar,
-                                    quantize_act_scalar, gemm_f32_tile_scalar};
+constexpr Kernels kScalarKernels = {
+    "scalar",         tile_u8s8_scalar, tile_u8s8_exact_scalar,
+    dot_u8s8_scalar,  threshold_scalar, quantize_act_scalar,
+    gemm_f32_tile_scalar};
 
 }  // namespace
 
@@ -39,6 +40,23 @@ void tile_u8s8_scalar(const std::uint8_t* a, std::int64_t rows,
       std::int32_t s = 0;
       for (std::int64_t p = 0; p < kp; ++p) {
         s += static_cast<std::int32_t>(ar[p] >> shift) * wf[p];
+      }
+      c[f * ldc + r] = s;
+    }
+  }
+}
+
+void tile_u8s8_exact_scalar(const std::uint8_t* a, std::int64_t rows,
+                            const std::int16_t* w, std::int64_t filters,
+                            std::int64_t kp, std::int32_t* c,
+                            std::int64_t ldc) {
+  for (std::int64_t f = 0; f < filters; ++f) {
+    const std::int16_t* wf = w + f * kp;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::uint8_t* ar = a + r * kp;
+      std::int32_t s = 0;
+      for (std::int64_t p = 0; p < kp; ++p) {
+        s += static_cast<std::int32_t>(ar[p]) * wf[p];
       }
       c[f * ldc + r] = s;
     }

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <thread>
+#include <vector>
 
+#include "common/conv_u8s8.hpp"
 #include "common/mean_abs_diff.hpp"
 #include "nn/init.hpp"
 #include "nn/models.hpp"
 #include "quant/quantizer.hpp"
+#include "quant/static_executor.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -174,6 +180,245 @@ TEST(DrqExecutor, CollectsPerLayerStats) {
     EXPECT_GE(s.sensitive_input_fraction, 0.0);
     EXPECT_LE(s.sensitive_input_fraction, 1.0);
   }
+}
+
+// --- The integer conv against the direct u8 x s8 oracle ---------------------
+
+Tensor random_weights(Shape shape, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Tensor t(std::move(shape));
+  for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = rng.normal_f(0, 0.3f);
+  return t;
+}
+
+using testutil::ConvCase;
+using testutil::kConvCases;
+
+// The oracle's sums for DRQ under `mask`: the high code where the mask is
+// set, else m times the low code, both grids scaled from the input max.
+std::vector<std::int64_t> drq_oracle(const Tensor& x, const TensorU8& mask,
+                                     const quant::QTensor& qw,
+                                     const DrqConfig& cfg, const ConvCase& cc,
+                                     float* scale) {
+  const int hi = (1 << cfg.hi_bits) - 1, lo = (1 << cfg.lo_bits) - 1;
+  const float clip = testutil::input_max(x);
+  const float base = clip > 0.0f ? clip : 1.0f;
+  const std::vector<std::uint8_t> c_hi =
+      testutil::act_codes(x, base / static_cast<float>(hi), hi);
+  const std::vector<std::uint8_t> c_lo =
+      testutil::act_codes(x, base / static_cast<float>(lo), lo);
+  std::vector<std::uint8_t> codes(c_hi.size());
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = mask[static_cast<std::int64_t>(i)] != 0
+                   ? c_hi[i]
+                   : static_cast<std::uint8_t>(hi / lo * c_lo[i]);
+  }
+  *scale = base / static_cast<float>(hi) * qw.scale;
+  return testutil::conv_u8s8(codes, cc.input, qw.q, cc.stride, cc.pad);
+}
+
+TEST(DrqIntegerConv, MatchesDirectOracleForEveryMaskKind) {
+  std::uint64_t seed = 200;
+  for (const auto& [hi, lo] : {std::pair{8, 4}, std::pair{4, 2}}) {
+    for (const auto& [mname, threshold] :
+         {std::pair{"all_high", -1.0f}, std::pair{"all_low", 1e30f},
+          std::pair{"mixed", 0.5f}}) {
+      for (const ConvCase& cc : kConvCases) {
+        SCOPED_TRACE(std::string(cc.name) + " " + mname + " " +
+                     std::to_string(hi) + "/" + std::to_string(lo));
+        seed += 3;
+        const Tensor x = random_acts(cc.input, seed, 1.0f);
+        const Tensor w = random_weights(cc.weight, seed + 1);
+        const Tensor bias = random_weights(Shape{cc.weight[0]}, seed + 2);
+        DrqConfig cfg;
+        cfg.hi_bits = hi;
+        cfg.lo_bits = lo;
+        cfg.region = 2;
+        cfg.input_threshold = threshold;
+        const TensorU8 mask = input_sensitivity_mask(x, cfg);
+        std::int64_t set = 0;
+        for (std::int64_t i = 0; i < mask.numel(); ++i) set += mask[i];
+        if (threshold < 0.0f) {
+          ASSERT_EQ(set, mask.numel());
+        } else if (threshold > 1.0f) {
+          ASSERT_EQ(set, 0);
+        } else {
+          ASSERT_GT(set, 0);
+          ASSERT_LT(set, mask.numel());
+        }
+        float scale = 0.0f;
+        const std::vector<std::int64_t> acc = drq_oracle(
+            x, mask, quant::quantize_weights(w, hi), cfg, cc, &scale);
+        DrqConvExecutor exec(cfg);
+        testutil::expect_outputs_match(
+            exec.run(x, w, bias, cc.stride, cc.pad, 0),
+            exec.run(x, w, Tensor(), cc.stride, cc.pad, 0), acc, scale, bias);
+      }
+    }
+  }
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    if (std::signbit(a[i]) != std::signbit(b[i]) || !(a[i] == b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// With every region sensitive, DRQ is static INT-hi bit for bit.
+TEST(DrqIntegerConv, AllSensitiveEqualsStaticHighBitwise) {
+  for (const auto& [hi, lo] : {std::pair{8, 4}, std::pair{4, 2}}) {
+    for (const ConvCase& cc : kConvCases) {
+      SCOPED_TRACE(std::string(cc.name) + " hi=" + std::to_string(hi));
+      const Tensor x = random_acts(cc.input, 300 + hi, 1.0f);
+      const Tensor w = random_weights(cc.weight, 301);
+      const Tensor bias = random_weights(Shape{cc.weight[0]}, 302);
+      DrqConfig cfg;
+      cfg.hi_bits = hi;
+      cfg.lo_bits = lo;
+      cfg.input_threshold = -1.0f;
+      EXPECT_TRUE(bitwise_equal(
+          DrqConvExecutor(cfg).run(x, w, bias, cc.stride, cc.pad, 0),
+          quant::StaticQuantConvExecutor(hi).run(x, w, bias, cc.stride,
+                                                 cc.pad, 0)));
+    }
+  }
+}
+
+// With no region sensitive, DRQ's sums are m times static INT-lo's: both
+// executors match the oracle on the low codes, DRQ scaled by m.
+TEST(DrqIntegerConv, NoneSensitiveSumsAreMTimesStaticLow) {
+  for (const auto& [hi, lo] : {std::pair{8, 4}, std::pair{4, 2}}) {
+    const std::int64_t m = ((1 << hi) - 1) / ((1 << lo) - 1);
+    for (const ConvCase& cc : kConvCases) {
+      SCOPED_TRACE(std::string(cc.name) + " hi=" + std::to_string(hi));
+      const Tensor x = random_acts(cc.input, 400 + hi, 1.0f);
+      const Tensor w = random_weights(cc.weight, 401);
+      const Tensor none;
+      const int qlo = (1 << lo) - 1;
+      const float clip = testutil::input_max(x);
+      const float s_lo = clip / static_cast<float>(qlo);
+      const std::vector<std::int64_t> low = testutil::conv_u8s8(
+          testutil::act_codes(x, s_lo, qlo), cc.input,
+          quant::quantize_weights(w, lo).q, cc.stride, cc.pad);
+      const quant::QTensor qw_lo = quant::quantize_weights(w, lo);
+      const Tensor st = quant::StaticQuantConvExecutor(lo).run(
+          x, w, none, cc.stride, cc.pad, 0);
+      for (std::int64_t i = 0; i < st.numel(); ++i) {
+        ASSERT_EQ(st[i], static_cast<float>(low[static_cast<std::size_t>(i)]) *
+                                 (s_lo * qw_lo.scale) +
+                             0.0f);
+      }
+
+      DrqConfig cfg;
+      cfg.hi_bits = hi;
+      cfg.lo_bits = lo;
+      cfg.input_threshold = 1e30f;
+      const quant::QTensor qw_hi = quant::quantize_weights(w, hi);
+      const std::vector<std::int64_t> drq_low = testutil::conv_u8s8(
+          testutil::act_codes(x, s_lo, qlo), cc.input, qw_hi.q, cc.stride,
+          cc.pad);
+      const float s_hi = clip / static_cast<float>((1 << hi) - 1);
+      const Tensor d =
+          DrqConvExecutor(cfg).run(x, w, none, cc.stride, cc.pad, 0);
+      for (std::int64_t i = 0; i < d.numel(); ++i) {
+        ASSERT_EQ(d[i],
+                  static_cast<float>(m * drq_low[static_cast<std::size_t>(i)]) *
+                          (s_hi * qw_hi.scale) +
+                      0.0f);
+      }
+    }
+  }
+}
+
+TEST(DrqConfigCheck, RefusesGridsThatDoNotNest) {
+  auto with = [](int hi, int lo) {
+    DrqConfig cfg;
+    cfg.hi_bits = hi;
+    cfg.lo_bits = lo;
+    return cfg;
+  };
+  EXPECT_NO_THROW(DrqConvExecutor(with(8, 4)));
+  EXPECT_NO_THROW(DrqConvExecutor(with(4, 2)));
+  EXPECT_NO_THROW(DrqConvExecutor(with(8, 2)));
+  EXPECT_THROW(DrqConvExecutor(with(9, 3)), std::invalid_argument);
+  EXPECT_THROW(DrqConvExecutor(with(16, 8)), std::invalid_argument);
+  EXPECT_THROW(DrqConvExecutor(with(8, 3)), std::invalid_argument);
+  EXPECT_THROW(DrqConvExecutor(with(6, 4)), std::invalid_argument);
+  EXPECT_THROW(DrqConvExecutor(with(4, 8)), std::invalid_argument);
+  EXPECT_THROW(DrqConvExecutor(with(4, 1)), std::invalid_argument);
+}
+
+TEST(DrqInputContract, NonFiniteActivationsThrowNamingTheConv) {
+  const Tensor w = random_weights(Shape{4, 2, 3, 3}, 31);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    Tensor x = random_acts(Shape{1, 2, 9, 9}, 30);
+    x[40] = bad;
+    DrqConvExecutor exec(DrqConfig{});
+    try {
+      (void)exec.run(x, w, Tensor(), 1, 1, 6);
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("conv 6"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(drq_conv(x, w, Tensor(), 1, 1, DrqConfig{}),
+                 std::invalid_argument);
+  }
+}
+
+TEST(DrqPrepared, InPlaceWeightEditIsSeen) {
+  const Tensor x = random_acts(Shape{1, 4, 9, 9}, 41);
+  Tensor w = random_weights(Shape{6, 4, 3, 3}, 42);
+  const Tensor bias = random_weights(Shape{6}, 43);
+  DrqConvExecutor exec(DrqConfig{});
+  const Tensor before = exec.run(x, w, bias, 1, 1, 0);
+  for (std::int64_t i = 0; i < w.numel(); i += 7) w[i] = -w[i] * 1.5f;
+  const Tensor after = exec.run(x, w, bias, 1, 1, 0);
+  EXPECT_FALSE(bitwise_equal(before, after));
+  EXPECT_TRUE(bitwise_equal(
+      after, DrqConvExecutor(DrqConfig{}).run(x, w, bias, 1, 1, 0)));
+}
+
+// Concurrent callers race to validate, rebuild and publish conv 0's entry;
+// every call must match a fresh executor on its own weights. Run under
+// -DODQ_SANITIZE=thread to have TSan check the snapshot/swap.
+TEST(DrqPrepared, ConcurrentCallersAlternatingWeightsStayExact) {
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 12;
+  const Tensor x = random_acts(Shape{1, 4, 10, 10}, 51);
+  const Tensor w[2] = {random_weights(Shape{6, 4, 3, 3}, 52),
+                       random_weights(Shape{6, 4, 3, 3}, 53)};
+  const Tensor bias = random_weights(Shape{6}, 54);
+  const Tensor want[2] = {
+      DrqConvExecutor(DrqConfig{}).run(x, w[0], bias, 1, 1, 0),
+      DrqConvExecutor(DrqConfig{}).run(x, w[1], bias, 1, 1, 0)};
+  DrqConvExecutor exec(DrqConfig{});
+  std::vector<std::vector<Tensor>> outs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        outs[static_cast<std::size_t>(t)].push_back(
+            exec.run(x, w[(t + i) % 2], bias, 1, 1, 0));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kCallsPerThread; ++i) {
+      EXPECT_TRUE(bitwise_equal(
+          outs[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)],
+          want[(t + i) % 2]))
+          << "thread " << t << " call " << i;
+    }
+  }
+  EXPECT_EQ(exec.layer_stats(0).calls, kThreads * kCallsPerThread);
 }
 
 TEST(DrqExecutor, ResetClearsStats) {

@@ -182,11 +182,52 @@ TEST_P(BitsSweep, WeightDequantizeMatchesFakeQuantize) {
   EXPECT_LT(tensor::max_abs_diff(q.dequantize(), fq), 1e-5f);
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, BitsSweep, ::testing::Values(2, 3, 4, 6, 7));
+INSTANTIATE_TEST_SUITE_P(Widths, BitsSweep,
+                         ::testing::Values(2, 3, 4, 6, 7, 8));
 
-TEST(QuantizeActivations, RejectsEightBitCodes) {
+// Codes are one byte each: 8 bits is the widest activation width.
+TEST(QuantizeActivations, RejectsCodesWiderThanEightBits) {
   Tensor x(Shape{4}, 0.5f);
-  EXPECT_THROW(quantize_activations(x, 8), std::invalid_argument);
+  EXPECT_THROW(quantize_activations(x, 9), std::invalid_argument);
+  EXPECT_THROW(quantize_activations(x, 1), std::invalid_argument);
+  EXPECT_NO_THROW(quantize_activations(x, 8));
+}
+
+// 8-bit codes above 127 keep their unsigned value through the int8 storage
+// and through dequantize().
+TEST(QuantizeActivations, EightBitCodesReachTheTopByte) {
+  Tensor x(Shape{4});
+  x[0] = 0.0f;
+  x[1] = 0.25f;
+  x[2] = 0.75f;
+  x[3] = 1.0f;
+  const QTensor q = quantize_activations(x, 8);
+  EXPECT_EQ(q.qmax(), 255);
+  const auto* codes = reinterpret_cast<const std::uint8_t*>(q.q.data());
+  EXPECT_EQ(codes[0], 0);
+  EXPECT_EQ(codes[1], 64);   // 63.75
+  EXPECT_EQ(codes[2], 191);  // 191.25
+  EXPECT_EQ(codes[3], 255);
+  const Tensor back = q.dequantize();
+  EXPECT_EQ(back[3], 255.0f * q.scale);
+  EXPECT_NEAR(back[2], 0.75f, q.scale);
+}
+
+// A clip of exactly 0 is honoured, not rescanned: for an input with no
+// positive value its codes and scale are bitwise those of the scan.
+TEST(QuantizeActivations, CollapsedInputWithClipZeroMatchesTheScan) {
+  Tensor x(Shape{2, 3, 5, 5});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = i % 3 == 0 ? 0.0f : (i % 3 == 1 ? -0.0f : -0.25f * i);
+  }
+  for (int bits = 2; bits <= 8; ++bits) {
+    const QTensor scanned = quantize_activations(x, bits);
+    const QTensor given = quantize_activations(x, bits, 0.0f);
+    EXPECT_EQ(given.scale, scanned.scale) << "bits " << bits;
+    EXPECT_EQ(given.scale, 1.0f / static_cast<float>((1 << bits) - 1));
+    EXPECT_EQ(given.q.vec(), scanned.q.vec()) << "bits " << bits;
+    for (std::int64_t i = 0; i < x.numel(); ++i) ASSERT_EQ(given.q[i], 0);
+  }
 }
 
 // Regression: the percentile subsample walks indices 0, stride, 2*stride, ...

@@ -438,6 +438,42 @@ TEST_F(ServeEngineTest, NonFiniteRequestFailsAloneInItsBatch) {
   EXPECT_EQ(engine.stats().errors, 1u);
 }
 
+// The same contract on the degraded path: a static-INT8 request with one
+// NaN pixel fails alone, and the finite degraded request in its batch gets
+// the static-INT8 session's answer.
+TEST_F(ServeEngineTest, DegradedNonFiniteRequestFailsAloneInItsBatch) {
+  const std::shared_ptr<ModelSession> degraded = model_session("static_int8");
+  const std::shared_ptr<InferenceSession> shared =
+      model_session("odq", degraded);
+  EngineConfig cfg;
+  cfg.num_workers = 1;
+  cfg.max_batch = 2;
+  cfg.flush_timeout_us = 5000000;  // the batch closes when both arrived
+  ServeEngine engine(cfg, [&](int) { return shared; });
+  SubmitOptions opts;
+  opts.degraded = true;
+  Tensor bad = input_for(0);
+  bad[5] = std::numeric_limits<float>::quiet_NaN();
+  auto bad_fut = engine.submit(bad, opts);
+  auto good_fut = engine.submit(input_for(1), opts);
+  ASSERT_TRUE(bad_fut.ok());
+  ASSERT_TRUE(good_fut.ok());
+  const InferResponse bad_res = bad_fut->get();
+  const InferResponse good_res = good_fut->get();
+  engine.shutdown();
+
+  EXPECT_EQ(bad_res.batch_size, 2u);
+  EXPECT_EQ(good_res.batch_size, 2u);
+  EXPECT_EQ(bad_res.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_res.status.message().find("conv 0"), std::string::npos)
+      << bad_res.status.to_string();
+  ASSERT_TRUE(good_res.status.ok()) << good_res.status.to_string();
+  EXPECT_TRUE(good_res.degraded);
+  EXPECT_EQ(good_res.scheme, "static_int8");
+  EXPECT_TRUE(bitwise_equal(degraded->run(input_for(1)), good_res.output));
+  EXPECT_EQ(engine.stats().errors, 1u);
+}
+
 // One session returned for every worker: the workers run its model
 // concurrently, and each output equals a fresh session's sequential run.
 TEST_F(ServeEngineTest, OneSessionSharedByFourWorkersMatchesSequential) {

@@ -10,7 +10,8 @@
 //     without the 16-byte tail,
 //   * saturating codes — activation 127 against weight -128 and 127, the
 //     inputs a maddubs saturation or sign mistake would corrupt first,
-//     and the depth at the int32 budget (kMaxDotDepth),
+//     and the depth at the int32 budget (kMaxDotDepth); for the exact tile,
+//     activation 255 against the same weights at kMaxExactDepth,
 //   * block straddles — row and filter counts that are not multiples of the
 //     kTileRows x kTileFilters register block, through the fused conv too,
 //   * the threshold epilogue at every vector tail length,
@@ -73,6 +74,47 @@ const std::vector<std::pair<const char*, int (*)(std::int64_t)>> kWeightFills =
      {"alt", [](std::int64_t p) { return p % 2 == 0 ? 127 : -128; }},
      {"ramp",
       [](std::int64_t p) { return static_cast<int>((p * 37) % 255 - 127); }}};
+
+// Exact-tile operands: any activation byte, weights in [-128, 127].
+const std::vector<std::pair<const char*, int (*)(std::int64_t)>>
+    kWideActFills = {
+        {"max", [](std::int64_t) { return 255; }},
+        {"zero", [](std::int64_t) { return 0; }},
+        {"alt", [](std::int64_t p) { return p % 2 == 0 ? 255 : 0; }},
+        {"ramp",
+         [](std::int64_t p) { return static_cast<int>((p * 37) % 256); }}};
+
+// The exact tile's counterpart of expect_tile_matches below.
+void expect_exact_tile_matches(const std::vector<std::uint8_t>& a,
+                               std::int64_t rows,
+                               const std::vector<std::int16_t>& w,
+                               std::int64_t filters, std::int64_t kp) {
+  const std::int64_t rows_pad = gemm::round_up(rows, kTileRows);
+  const std::int64_t filters_pad = gemm::round_up(filters, kTileFilters);
+  ASSERT_GE(static_cast<std::int64_t>(a.size()), rows_pad * kp);
+  ASSERT_GE(static_cast<std::int64_t>(w.size()), filters_pad * kp);
+  std::vector<std::int32_t> got(
+      static_cast<std::size_t>(filters_pad * rows_pad));
+  std::vector<std::int32_t> ref(got.size());
+  active_kernels().tile_u8s8_exact(a.data(), rows_pad, w.data(), filters_pad,
+                                   kp, got.data(), rows_pad);
+  scalar_kernels().tile_u8s8_exact(a.data(), rows_pad, w.data(), filters_pad,
+                                   kp, ref.data(), rows_pad);
+  for (std::int64_t f = 0; f < filters; ++f) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const auto i = static_cast<std::size_t>(f * rows_pad + r);
+      std::int64_t want = 0;
+      for (std::int64_t p = 0; p < kp; ++p) {
+        want += static_cast<std::int64_t>(a[static_cast<std::size_t>(
+                    r * kp + p)]) *
+                w[static_cast<std::size_t>(f * kp + p)];
+      }
+      ASSERT_EQ(got[i], static_cast<std::int32_t>(want))
+          << "r=" << r << " f=" << f;
+      ASSERT_EQ(got[i], ref[i]) << "vs scalar, r=" << r << " f=" << f;
+    }
+  }
+}
 
 // Runs the active tile kernel and the scalar one on the same operands and
 // checks both against the oracle for the `rows` x `filters` valid outputs of
@@ -272,6 +314,78 @@ TEST_P(SimdKernels, TileStaysExactAtTheDepthBudget) {
   EXPECT_EQ(active_kernels().dot_u8s8(a.data(), w.data(), kp), low);
 }
 
+// The exact tile at every padded depth from 16 to 592 (each 16-tap step
+// count), on every pair of extreme fills with activations up to 255, over
+// two register blocks each way.
+TEST_P(SimdKernels, ExactTileMatchesOracleAcrossDepths16To592) {
+  const std::int64_t rows = 2 * kTileRows, filters = 2 * kTileFilters;
+  for (std::int64_t kp = kKTile; kp <= 592; kp += kKTile) {
+    for (const auto& [aname, afill] : kWideActFills) {
+      for (const auto& [wname, wfill] : kWeightFills) {
+        const auto a = padded_operand<std::uint8_t>(
+            rows * kp,
+            [&, f = afill](std::int64_t p) { return f(p + p / kp); });
+        const auto w = padded_operand<std::int16_t>(
+            filters * kp,
+            [&, f = wfill](std::int64_t p) { return f(p + 3 * (p / kp)); });
+        SCOPED_TRACE("kp=" + std::to_string(kp) + " a=" + aname +
+                     " w=" + wname);
+        expect_exact_tile_matches(a, rows, w, filters, kp);
+      }
+    }
+  }
+}
+
+// Row and filter counts that are not block multiples, zero-padded the way
+// conv_u8s8 pads rows and pack_wide_panel pads filters.
+TEST_P(SimdKernels, ExactTileHandlesPartialBlocks) {
+  util::Rng rng(43);
+  const std::int64_t kp = 48;  // three 16-tap steps
+  for (std::int64_t rows = 1; rows <= 2 * kTileRows + 1; ++rows) {
+    for (std::int64_t filters = 1; filters <= 2 * kTileFilters + 1;
+         ++filters) {
+      const std::int64_t rows_pad = gemm::round_up(rows, kTileRows);
+      const std::int64_t filters_pad = gemm::round_up(filters, kTileFilters);
+      std::vector<std::uint8_t> a(static_cast<std::size_t>(rows_pad * kp), 0);
+      std::vector<std::int16_t> w(static_cast<std::size_t>(filters_pad * kp),
+                                  0);
+      for (std::int64_t i = 0; i < rows * kp; ++i) {
+        a[static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      }
+      for (std::int64_t i = 0; i < filters * kp; ++i) {
+        w[static_cast<std::size_t>(i)] =
+            static_cast<std::int16_t>(rng.uniform_int(-128, 127));
+      }
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " filters=" + std::to_string(filters));
+      expect_exact_tile_matches(a, rows, w, filters, kp);
+    }
+  }
+}
+
+// At kMaxExactDepth the most extreme products stay exact in int32:
+// kMaxExactDepth * 255 * -128 is the most negative sum the exact tile
+// accepts.
+TEST_P(SimdKernels, ExactTileStaysExactAtTheDepthBudget) {
+  const std::int64_t kp = kMaxExactDepth;
+  const std::vector<std::uint8_t> a(static_cast<std::size_t>(kTileRows * kp),
+                                    255);
+  std::vector<std::int16_t> w(static_cast<std::size_t>(kTileFilters * kp),
+                              -128);
+  std::fill(w.begin() + kp, w.end(), 127);
+  const std::int64_t low = kp * 255 * -128;
+  ASSERT_GE(low, std::int64_t{std::numeric_limits<std::int32_t>::min()});
+  std::vector<std::int32_t> c(
+      static_cast<std::size_t>(kTileRows * kTileFilters));
+  active_kernels().tile_u8s8_exact(a.data(), kTileRows, w.data(),
+                                   kTileFilters, kp, c.data(), kTileRows);
+  for (std::int64_t r = 0; r < kTileRows; ++r) {
+    EXPECT_EQ(c[static_cast<std::size_t>(r)], low);
+    EXPECT_EQ(c[static_cast<std::size_t>(kTileRows + r)], kp * 255 * 127);
+  }
+}
+
 // The threshold epilogue against a plain loop at every tail length, with
 // magnitudes on both sides of the threshold and every predictor shift.
 TEST_P(SimdKernels, ThresholdMatchesOracleAtEveryTail) {
@@ -397,15 +511,15 @@ TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
 // gave INT_MIN, so an outlier far above the clip coded as 0 instead of qmax.
 // The second quantize test pins that every other input keeps its old code.
 
-std::int8_t oracle_quantize(float x, float scale, int qmax) {
+std::uint8_t oracle_quantize(float x, float scale, int qmax) {
   const float v = x / scale;
   if (!(v > 0.0f)) return 0;  // negatives, zeros, NaN
-  if (v >= static_cast<float>(qmax)) return static_cast<std::int8_t>(qmax);
+  if (v >= static_cast<float>(qmax)) return static_cast<std::uint8_t>(qmax);
   const float whole = std::floor(v);
-  const float frac = v - whole;  // exact: v < 128
+  const float frac = v - whole;  // exact: v < 256
   int q = static_cast<int>(whole);
   if (frac > 0.5f || (frac == 0.5f && q % 2 != 0)) ++q;
-  return static_cast<std::int8_t>(q);
+  return static_cast<std::uint8_t>(q);
 }
 
 struct QuantCase {
@@ -445,7 +559,9 @@ std::vector<QuantCase> all_cases() {
   // the others are scales a calibrated clip actually produces.
   for (const float scale : {0.25f, 1.0f / 64.0f, 2.0f, 0.1f, 1.0f / 15.0f,
                             0.0731f, 1e-6f / 15.0f}) {
-    for (int bits = 2; bits <= 7; ++bits) {
+    // 8 bits: codes above 127, which a signed-saturating byte pack would
+    // cap.
+    for (int bits = 2; bits <= 8; ++bits) {
       cases.push_back(make_case(scale, bits));
     }
   }
@@ -454,7 +570,7 @@ std::vector<QuantCase> all_cases() {
 
 TEST_P(SimdKernels, QuantizeActMatchesOracleOnTiesSaturationAndEveryTail) {
   const QuantizeActFn quantize = active_kernels().quantize_act;
-  constexpr std::int8_t kGuard = 0x55;
+  constexpr std::uint8_t kGuard = 0x55;
   for (const QuantCase& c : all_cases()) {
     // Every length 0..33, read cyclically from several offsets, so each
     // input class lands in the vector body and in the tail at every
@@ -465,7 +581,7 @@ TEST_P(SimdKernels, QuantizeActMatchesOracleOnTiesSaturationAndEveryTail) {
         for (std::size_t i = 0; i < n; ++i) {
           x[i] = c.x[(start + i) % c.x.size()];
         }
-        std::vector<std::int8_t> q(n + 8, kGuard);
+        std::vector<std::uint8_t> q(n + 8, kGuard);
         quantize(x.data(), static_cast<std::int64_t>(n), c.scale,
                  static_cast<float>(c.qmax), q.data());
         SCOPED_TRACE("scale=" + std::to_string(c.scale) +
@@ -473,11 +589,11 @@ TEST_P(SimdKernels, QuantizeActMatchesOracleOnTiesSaturationAndEveryTail) {
                      " start=" + std::to_string(start) +
                      " n=" + std::to_string(n));
         for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(q[i], oracle_quantize(x[i], c.scale, c.qmax))
+          ASSERT_EQ(+q[i], +oracle_quantize(x[i], c.scale, c.qmax))
               << "x=" << x[i];
         }
         for (std::size_t i = n; i < q.size(); ++i) {
-          ASSERT_EQ(q[i], kGuard) << "wrote past n at " << i;
+          ASSERT_EQ(+q[i], +kGuard) << "wrote past n at " << i;
         }
       }
     }
@@ -488,7 +604,7 @@ TEST_P(SimdKernels, QuantizeActChangesCodesOnlyWhereTheOldCastOverflowed) {
   const QuantizeActFn quantize = active_kernels().quantize_act;
   std::int64_t undefined_before = 0;
   for (const QuantCase& c : all_cases()) {
-    std::vector<std::int8_t> q(c.x.size());
+    std::vector<std::uint8_t> q(c.x.size());
     quantize(c.x.data(), static_cast<std::int64_t>(c.x.size()), c.scale,
              static_cast<float>(c.qmax), q.data());
     for (std::size_t i = 0; i < c.x.size(); ++i) {

@@ -7,8 +7,10 @@
 // operand with non-zero garbage (the packed tile rows, or both weight
 // panels) while the other operand's pads stay zero — and asserts the
 // predictor tile, the full-code tile and the gathered dot all produce
-// bit-identical sums, per backend. A kernel that read past k_padded,
-// mis-stepped blocks, or depended on both pads being zero would fail here.
+// bit-identical sums, per backend; the exact tile of the integer baselines
+// likewise, on 8-bit codes and the widened panel. A kernel that read past
+// k_padded, mis-stepped blocks, or depended on both pads being zero would
+// fail here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -124,6 +126,55 @@ TEST_P(SimdTailGuard, GarbageBeyondValidDepthIsIgnoredIdentically) {
       }
       EXPECT_TRUE(clean == run_tiles(a, rows, dirty));
     }
+  }
+}
+
+std::vector<std::int32_t> run_exact_tile(const std::vector<std::uint8_t>& a,
+                                         std::int64_t rows,
+                                         const gemm::WidePanel& panel) {
+  std::vector<std::int32_t> out(
+      static_cast<std::size_t>(panel.oc_padded * rows));
+  active_kernels().tile_u8s8_exact(a.data(), rows, panel.w.data(),
+                                   panel.oc_padded, panel.k_padded, out.data(),
+                                   rows);
+  return out;
+}
+
+TEST_P(SimdTailGuard, ExactTileIgnoresGarbageBeyondValidDepth) {
+  util::Rng rng(43);
+  for (const std::int64_t c : {3, 5}) {
+    tensor::Tensor x(Shape{1, c, 6, 6});
+    tensor::Tensor w(Shape{5, c, 3, 3});
+    for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform_f(0, 1);
+    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.3f);
+    const quant::QTensor qin = quant::quantize_activations(x, 8);
+    const quant::QTensor qw = quant::quantize_weights(w, 8);
+    const gemm::WidePanel panel = gemm::pack_wide_panel(qw.q);
+    const std::int64_t k = c * 9, kp = panel.k_padded;
+    ASSERT_GT(kp, k) << "no garbage region to exercise";
+
+    const gemm::ConvShape geom{c, 6, 6, 3, 3, /*stride=*/1, /*pad=*/1};
+    const std::int64_t rows = 36;
+    std::vector<std::uint8_t> a(static_cast<std::size_t>(rows * kp));
+    gemm::pack_tile_rows(geom, qin.q.data(), 0, rows, kp, a.data());
+    const std::vector<std::int32_t> clean = run_exact_tile(a, rows, panel);
+    SCOPED_TRACE("K=" + std::to_string(k));
+
+    std::vector<std::uint8_t> dirty_a = a;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t p = k; p < kp; ++p) {
+        dirty_a[static_cast<std::size_t>(r * kp + p)] = 0xFF;
+      }
+    }
+    EXPECT_EQ(clean, run_exact_tile(dirty_a, rows, panel));
+
+    gemm::WidePanel dirty_w = panel;
+    for (std::int64_t f = 0; f < dirty_w.oc_padded; ++f) {
+      for (std::int64_t p = k; p < kp; ++p) {
+        dirty_w.w[static_cast<std::size_t>(f * kp + p)] = p % 2 ? -128 : 127;
+      }
+    }
+    EXPECT_EQ(clean, run_exact_tile(a, rows, dirty_w));
   }
 }
 

@@ -498,6 +498,8 @@ int tool_main(int argc, char** argv) {
         w.kv("outputs", stats.outputs);
         w.kv("sensitive", stats.sensitive);
         w.kv("sensitive_fraction", stats.sensitive_fraction());
+        // Calls whose input had no positive value: a dead layer.
+        w.kv("collapsed", stats.collapsed);
         w.kv("sqnr_db", s.total.sqnr_db());
         w.kv("cosine", s.total.cosine());
         w.kv("max_abs_err", s.total.err_max);
@@ -535,8 +537,8 @@ int tool_main(int argc, char** argv) {
         return 2;
       }
       std::fprintf(f,
-                   "threshold,conv_id,sensitive_fraction,sqnr_db,cosine,"
-                   "max_abs_err,mean_abs_err,predictor_sqnr_db,"
+                   "threshold,conv_id,sensitive_fraction,collapsed,sqnr_db,"
+                   "cosine,max_abs_err,mean_abs_err,predictor_sqnr_db,"
                    "fp32_agreement,accuracy\n");
       for (const SweepPoint& p : points) {
         for (const obs::FidelityLayerSnapshot& s : p.fidelity) {
@@ -544,8 +546,10 @@ int tool_main(int argc, char** argv) {
           const core::OdqLayerStats stats =
               id < p.layer_stats.size() ? p.layer_stats[id]
                                         : core::OdqLayerStats{};
-          std::fprintf(f, "%.6f,%d,%.6f,%.3f,%.6f,%.6g,%.6g,%.3f,%.4f,%.4f\n",
+          std::fprintf(f,
+                       "%.6f,%d,%.6f,%lld,%.3f,%.6f,%.6g,%.6g,%.3f,%.4f,%.4f\n",
                        p.threshold, s.layer, stats.sensitive_fraction(),
+                       static_cast<long long>(stats.collapsed),
                        s.total.sqnr_db(), s.total.cosine(), s.total.err_max,
                        s.total.mean_abs_err(), s.predictor.sqnr_db(),
                        p.fp32_agreement, p.accuracy);
