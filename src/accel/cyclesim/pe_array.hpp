@@ -24,7 +24,6 @@ class PeArray {
   PeArray(int pes, ArrayRole role) : pes_(pes), role_(role) {}
 
   ArrayRole role() const { return role_; }
-  void set_role(ArrayRole role) { role_ = role; }
 
   bool busy() const { return cycles_left_ > 0; }
 

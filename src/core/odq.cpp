@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "gemm/row_tiles.hpp"
-#include "nn/epilogue.hpp"
 #include "obs/fidelity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -62,33 +61,27 @@ void record_conv_metrics(const OdqLayerStats& s) {
   frac.record(obs::basis_points(s.sensitive_fraction()));
 }
 
-// Dequantize integer accumulators and add the per-channel bias through the
-// shared conv epilogue helper (nn/epilogue.hpp) — the bias-only case there
-// is the exact fused expression this file used to hand-roll.
-Tensor dequantize_with_bias(const TensorI32& acc, float scale,
-                            const Tensor& bias) {
-  ODQ_TRACE_SPAN("odq.epilogue");
-  nn::ConvEpilogue e;
-  e.bias = bias;
-  return nn::dequantize_epilogue(acc, scale, e);
-}
-
 // Fidelity attribution for one finished ODQ conv (obs/fidelity.hpp): runs
-// the FP32 reference conv and dequantizes the predictor-only accumulators,
-// then records scheme/predictor/mask-side errors plus the |predictor|
-// magnitude histogram. Only ever called when fidelity is enabled — the
-// reference conv makes this path deliberately expensive.
+// the FP32 reference conv and dequantizes the predictor-only accumulators
+// with the output's expression, then records scheme/predictor/mask-side
+// errors plus the |predictor| magnitude histogram. Only ever called when
+// fidelity is enabled — the reference conv makes this path deliberately
+// expensive.
 void record_odq_fidelity(const Tensor& input, const Tensor& weight,
                          const Tensor& bias, std::int64_t stride,
                          std::int64_t pad, const OdqConfig& cfg,
-                         const OdqConvResult& r, const Tensor& out, int layer) {
+                         const OdqConvResult& r, int layer) {
   ODQ_TRACE_SPAN("odq.fidelity");
   const Tensor ref = tensor::conv2d_direct(input, weight, bias, stride, pad);
-  const Tensor pred_out = dequantize_with_bias(r.predictor_acc, r.scale, bias);
+  const Tensor& out = r.out;
+  const std::int64_t oc = out.shape()[1];
+  const std::int64_t plane = out.shape()[2] * out.shape()[3];
+  Tensor pred_out(out.shape());
   std::vector<float> pred_mag(static_cast<std::size_t>(out.numel()));
   for (std::int64_t i = 0; i < out.numel(); ++i) {
-    pred_mag[static_cast<std::size_t>(i)] =
-        std::abs(static_cast<float>(r.predictor_acc[i]) * r.scale);
+    const float v = static_cast<float>(r.predictor_acc[i]) * r.scale;
+    pred_out[i] = v + (bias.empty() ? 0.0f : bias[(i / plane) % oc]);
+    pred_mag[static_cast<std::size_t>(i)] = std::abs(v);
   }
   obs::fidelity_record_odq("odq", layer, cfg.threshold, ref.data(), out.data(),
                            pred_out.data(), pred_mag.data(), r.mask.data(),
@@ -111,11 +104,17 @@ void check_bits(const QTensor& input, const QTensor& weight,
   }
 }
 
+void check_bias(const Tensor& bias, std::int64_t oc) {
+  if (!bias.empty() && bias.numel() != oc) {
+    throw std::invalid_argument("odq_conv: bias size mismatch");
+  }
+}
+
 }  // namespace
 
 OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
                                  std::int64_t stride, std::int64_t pad,
-                                 const OdqConfig& cfg) {
+                                 const OdqConfig& cfg, const Tensor& bias) {
   check_bits(input, weight, cfg);
   const int lb = cfg.low_bits;
 
@@ -135,6 +134,7 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
   const std::int64_t oc = ws[0], kh = ws[2], kw = ws[3];
   const std::int64_t oh = tensor::conv_out_dim(h, kh, stride, pad);
   const std::int64_t ow = tensor::conv_out_dim(w, kw, stride, pad);
+  check_bias(bias, oc);
 
   OdqConvResult res;
   res.scale = input.scale * weight.scale;
@@ -217,6 +217,18 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
     }
   }
 
+  // Step 5: dequantize with the bias, in a loop of its own.
+  res.out = Tensor(Shape{n, oc, oh, ow});
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (std::int64_t ch = 0; ch < oc; ++ch) {
+      const float bv = bias.empty() ? 0.0f : bias[ch];
+      for (std::int64_t i = 0; i < oh * ow; ++i) {
+        const std::int64_t idx = ((b * oc + ch) * oh * ow) + i;
+        res.out[idx] = static_cast<float>(res.acc[idx]) * res.scale + bv;
+      }
+    }
+  }
+
   res.stats.calls = 1;
   res.stats.outputs = n * oc * oh * ow;
   res.stats.sensitive = sensitive;
@@ -244,18 +256,19 @@ constexpr std::int64_t kDenseNum = 1;
 constexpr std::int64_t kDenseDen = 2;
 
 // What one task leaves for the reduction after the region: its executor
-// MACs and its phase times in util::ticks().
+// MACs and its phase and store times in util::ticks().
 struct TaskTally {
   std::int64_t executor_macs = 0;
-  std::uint64_t pack = 0, predict = 0, remainder = 0;
+  std::uint64_t pack = 0, predict = 0, remainder = 0, store = 0;
 };
 
-// With tracing on, a task also records its phases as spans, from trace
-// clock reads at the same four points.
-void record_phase_spans(const double (&at)[4]) {
+// With tracing on, a task also records its phases and its store as spans,
+// from trace clock reads at the same five points.
+void record_phase_spans(const double (&at)[5]) {
   obs::trace_record("odq.pack", at[0], at[1] - at[0]);
   obs::trace_record("odq.gemm", at[1], at[2] - at[1]);
   obs::trace_record("odq.sparse_epilogue", at[2], at[3] - at[2]);
+  obs::trace_record("odq.dequantize", at[3], at[4] - at[3]);
 }
 
 // The fused pipeline odq_conv and OdqConvExecutor::run share: one parallel
@@ -270,11 +283,13 @@ void record_phase_spans(const double (&at)[4]) {
 //   3. gives each sensitive output the full-code product sum_p a * w
 //      against the full-code panel — Eq. (3) is an identity, so predictor
 //      plus remainder is exactly that sum — densely per filter block when
-//      enough of the block is sensitive, else one dot per output.
+//      enough of the block is sensitive, else one dot per output,
+//   4. writes its float outputs from its slice of acc through the integer
+//      convs' dequantizing store (gemm::store_dequantized).
 OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
                              const gemm::TilePanels& panels,
                              std::int64_t stride, std::int64_t pad,
-                             const OdqConfig& cfg) {
+                             const OdqConfig& cfg, const Tensor& bias) {
   check_bits(input, weight, cfg);
   const Shape& is = input.q.shape();
   const Shape& ws = weight.q.shape();
@@ -294,6 +309,7 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
       panels.low_bits != cfg.low_bits) {
     throw std::invalid_argument("odq_conv: weight panels do not match");
   }
+  check_bias(bias, oc);
   const int lb = cfg.low_bits;
   const std::int64_t rows = oh * ow;
   const std::int64_t kp = panels.k_padded;
@@ -301,6 +317,7 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
 
   OdqConvResult res;
   res.scale = input.scale * weight.scale;
+  res.out = Tensor(Shape{n, oc, oh, ow});
   res.predictor_acc = TensorI32(Shape{n, oc, oh, ow});
   res.acc = TensorI32(Shape{n, oc, oh, ow});
   res.mask = TensorU8(Shape{n, oc, oh, ow});
@@ -332,6 +349,7 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
   std::int32_t* pred_out = res.predictor_acc.data();
   std::int32_t* acc_out = res.acc.data();
   std::uint8_t* mask_out = res.mask.data();
+  float* out = res.out.data();
   const float scale = res.scale;
   const float threshold = cfg.threshold;
 
@@ -345,7 +363,7 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
     const std::int64_t nr_pad = tile.nr_pad;
     const std::uint8_t* a = tile.rows;
     std::int32_t* sums = tile.sums;
-    double at[4] = {};
+    double at[5] = {};
     if (tracing) at[0] = obs::trace_now_us();
     const std::uint64_t start = util::ticks();
 
@@ -396,22 +414,30 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
       }
     }
     const std::uint64_t done = util::ticks();
+    if (tracing) at[3] = obs::trace_now_us();
+
+    // 4. Store.
+    gemm::store_dequantized(tile, acc_out + b * oc * rows + r0, rows, oc,
+                            rows, scale, bias, out);
+    const std::uint64_t stored = util::ticks();
     tally[static_cast<std::size_t>(t)] = {
         macs, util::ticks_between(start, packed),
         util::ticks_between(packed, predicted),
-        util::ticks_between(predicted, done)};
+        util::ticks_between(predicted, done),
+        util::ticks_between(done, stored)};
     if (tracing) {
-      at[3] = obs::trace_now_us();
+      at[4] = obs::trace_now_us();
       record_phase_spans(at);
     }
   });
   const double wall = region.seconds();
 
   // Reduce the per-task counters in task order, and split the region's
-  // wall time across the three phases in proportion to the tiles' times.
+  // wall time in proportion to the tiles' times: the three phases get
+  // their shares, and the store's share is left to the conv's remainder.
   res.sensitive_per_channel.assign(static_cast<std::size_t>(oc), 0);
   std::int64_t sensitive = 0, executor_macs = 0;
-  double pack = 0.0, predict = 0.0, remainder = 0.0;
+  double pack = 0.0, predict = 0.0, remainder = 0.0, store = 0.0;
   for (std::int64_t t = 0; t < tasks; ++t) {
     for (std::int64_t f = 0; f < oc; ++f) {
       const std::int64_t k = counts[static_cast<std::size_t>(t * oc + f)];
@@ -423,8 +449,9 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
     pack += static_cast<double>(tt.pack);
     predict += static_cast<double>(tt.predict);
     remainder += static_cast<double>(tt.remainder);
+    store += static_cast<double>(tt.store);
   }
-  const double phases = pack + predict + remainder;
+  const double phases = pack + predict + remainder + store;
   if (phases > 0.0) {
     res.stats.pack_seconds = wall * (pack / phases);
     res.stats.gemm_seconds = wall * (predict / phases);
@@ -445,13 +472,13 @@ OdqConvResult odq_conv_tiled(const QTensor& input, const QTensor& weight,
 
 OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
                        std::int64_t stride, std::int64_t pad,
-                       const OdqConfig& cfg) {
+                       const OdqConfig& cfg, const Tensor& bias) {
   if (cfg.num_threads == 1) {
-    return odq_conv_reference(input, weight, stride, pad, cfg);
+    return odq_conv_reference(input, weight, stride, pad, cfg, bias);
   }
   return odq_conv_tiled(input, weight,
                         gemm::pack_tile_panels(weight.q, cfg.low_bits), stride,
-                        pad, cfg);
+                        pad, cfg, bias);
 }
 
 Tensor odq_conv_float(const Tensor& input, const Tensor& weight,
@@ -460,16 +487,14 @@ Tensor odq_conv_float(const Tensor& input, const Tensor& weight,
                       TensorU8* mask_out) {
   QTensor qin = quantize_input(input, cfg);
   QTensor qw = quantize_weight(weight, cfg);
-  OdqConvResult r = odq_conv(qin, qw, stride, pad, cfg);
-
-  Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
+  OdqConvResult r = odq_conv(qin, qw, stride, pad, cfg, bias);
   if (obs::fidelity_enabled()) {
-    record_odq_fidelity(input, weight, bias, stride, pad, cfg, r, out,
+    record_odq_fidelity(input, weight, bias, stride, pad, cfg, r,
                         /*layer=*/-1);
   }
   if (stats != nullptr) *stats = r.stats;
   if (mask_out != nullptr) *mask_out = std::move(r.mask);
-  return out;
+  return std::move(r.out);
 }
 
 // One conv's weights, prepared once: their INT4 codes and scale, and the
@@ -496,15 +521,12 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
       });
   OdqConvResult r =
       cfg_.num_threads == 1
-          ? odq_conv_reference(qin, prep->codes, stride, pad, cfg_)
-          : odq_conv_tiled(qin, prep->codes, prep->panels, stride, pad,
-                           cfg_);
+          ? odq_conv_reference(qin, prep->codes, stride, pad, cfg_, bias)
+          : odq_conv_tiled(qin, prep->codes, prep->panels, stride, pad, cfg_,
+                           bias);
   r.stats.collapsed = collapsed ? 1 : 0;
-
-  Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
   if (obs::fidelity_enabled()) {
-    record_odq_fidelity(input, weight, bias, stride, pad, cfg_, r, out,
-                        conv_id);
+    record_odq_fidelity(input, weight, bias, stride, pad, cfg_, r, conv_id);
   }
 
   // Calibration subsampling happens in a call-local buffer; the shared
@@ -536,7 +558,7 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
     calib_samples_.insert(calib_samples_.end(), local_samples.begin(),
                           local_samples.end());
   }
-  return out;
+  return std::move(r.out);
 }
 
 void OdqConvExecutor::set_threshold(float t) {

@@ -66,10 +66,11 @@ struct OdqLayerStats {
   // Phase wall time of the fused tiles (zero on the serial reference path):
   // activation row packing (weights are packed outside this phase), the
   // predictor tile plus threshold, and Eq. (3)'s remainder for sensitive
-  // outputs. Each tile times its own phases; a conv's parallel region wall
-  // time is split across the three in proportion to the tiles' summed
-  // phase times, so the three add up to the region's wall time. Additive
-  // across calls, like the MAC counters.
+  // outputs. Each tile times its own phases and its dequantizing store; a
+  // conv's parallel region wall time is split in proportion to the tiles'
+  // summed times, so the three phases plus the store's share (which no
+  // field holds) add up to the region's wall time. Additive across calls,
+  // like the MAC counters.
   double pack_seconds = 0.0;
   double gemm_seconds = 0.0;
   double sparse_epilogue_seconds = 0.0;
@@ -98,6 +99,7 @@ struct OdqLayerStats {
 };
 
 struct OdqConvResult {
+  tensor::Tensor out;               // float(acc) * scale + bias[channel]
   tensor::TensorI32 acc;            // final accumulators
   tensor::TensorI32 predictor_acc;  // predictor-only accumulators (shifted)
   tensor::TensorU8 mask;            // 1 = sensitive
@@ -111,24 +113,27 @@ struct OdqConvResult {
 // Core integer pipeline on already-quantized tensors. `input` must be an
 // unsigned QTensor and `weight` a signed one, both `cfg.total_bits` wide,
 // with total_bits <= 7 (the integer kernels take activation codes up to
-// 127); anything else throws std::invalid_argument. Runs one parallel
-// region of fused (batch, row tile) tasks — pack, predictor + threshold,
-// Eq. (3) remainder — unless cfg.num_threads == 1, which runs
+// 127), and `bias` must be empty or hold one value per filter; anything
+// else throws std::invalid_argument. Runs one parallel region of fused
+// (batch, row tile) tasks — pack, predictor + threshold, Eq. (3)
+// remainder, dequantizing store — unless cfg.num_threads == 1, which runs
 // odq_conv_reference.
 OdqConvResult odq_conv(const quant::QTensor& input,
                        const quant::QTensor& weight, std::int64_t stride,
-                       std::int64_t pad, const OdqConfig& cfg);
+                       std::int64_t pad, const OdqConfig& cfg,
+                       const tensor::Tensor& bias = {});
 
-// Serial scalar reference for odq_conv: separate mask and result-generation
-// passes, no tiling, no pool. Kept as the oracle for the fused path
-// (tests/core/test_odq_parallel.cpp asserts bit-exact agreement). Validates
-// its operands the same way.
+// Serial scalar reference for odq_conv: separate mask, result-generation
+// and dequantize passes, no tiling, no pool. Kept as the oracle for the
+// fused path (tests/core/test_odq_parallel.cpp asserts bit-exact
+// agreement). Validates its operands the same way.
 OdqConvResult odq_conv_reference(const quant::QTensor& input,
                                  const quant::QTensor& weight,
                                  std::int64_t stride, std::int64_t pad,
-                                 const OdqConfig& cfg);
+                                 const OdqConfig& cfg,
+                                 const tensor::Tensor& bias = {});
 
-// Float-facing wrapper: quantizes, runs odq_conv, dequantizes, applies bias.
+// Float-facing wrapper: quantizes, runs odq_conv and returns its output.
 tensor::Tensor odq_conv_float(const tensor::Tensor& input,
                               const tensor::Tensor& weight,
                               const tensor::Tensor& bias, std::int64_t stride,

@@ -20,84 +20,101 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::TensorU8;
 
-TensorU8 input_sensitivity_mask(const Tensor& input, const DrqConfig& cfg) {
+namespace {
+
+// One square region of a (image, channel) plane: rows [y0, y1), columns
+// [x0, x1), its number `index` within the plane in (ry, rx) order, and its
+// mean |x|.
+struct Region {
+  std::int64_t plane = 0;  // b * C + c
+  std::int64_t index = 0;
+  std::int64_t y0 = 0, y1 = 0, x0 = 0, x1 = 0;
+  double mean = 0.0;
+};
+
+// Calls fn(const Region&) for every region of every plane of NCHW `input`,
+// one plane per task. Each region's |x| is summed in double over row
+// pointers in (y, x) order, so its mean does not depend on the thread
+// count.
+template <typename Fn>
+void for_each_region(const Tensor& input, std::int64_t r, Fn&& fn) {
   const Shape& s = input.shape();
-  if (s.rank() != 4) {
-    throw std::invalid_argument("input_sensitivity_mask: input must be NCHW");
-  }
-  const std::int64_t n = s[0], c = s[1], h = s[2], w = s[3];
-  const std::int64_t r = cfg.region;
-  TensorU8 mask(s);
-  // One tile per (batch, channel) plane — regions never straddle planes, so
-  // tiles write disjoint mask ranges.
+  const std::int64_t h = s[2], w = s[3];
   util::parallel_for(
-      n * c,
+      s[0] * s[1],
       [&](std::int64_t t0, std::int64_t t1) {
         for (std::int64_t t = t0; t < t1; ++t) {
-          const std::int64_t b = t / c;
-          const std::int64_t ch = t % c;
-          for (std::int64_t ry = 0; ry < h; ry += r) {
-            for (std::int64_t rx = 0; rx < w; rx += r) {
-              const std::int64_t ye = std::min(ry + r, h);
-              const std::int64_t xe = std::min(rx + r, w);
+          const float* plane = input.data() + t * h * w;
+          Region g;
+          g.plane = t;
+          for (g.y0 = 0; g.y0 < h; g.y0 += r) {
+            g.y1 = std::min(g.y0 + r, h);
+            for (g.x0 = 0; g.x0 < w; g.x0 += r) {
+              g.x1 = std::min(g.x0 + r, w);
               double acc = 0.0;
-              for (std::int64_t y = ry; y < ye; ++y) {
-                for (std::int64_t x = rx; x < xe; ++x) {
-                  acc += std::abs(input.at4(b, ch, y, x));
+              for (std::int64_t y = g.y0; y < g.y1; ++y) {
+                const float* row = plane + y * w;
+                for (std::int64_t x = g.x0; x < g.x1; ++x) {
+                  acc += std::abs(row[x]);
                 }
               }
-              const double mean =
-                  acc / static_cast<double>((ye - ry) * (xe - rx));
-              const std::uint8_t bit = mean > cfg.input_threshold ? 1 : 0;
-              for (std::int64_t y = ry; y < ye; ++y) {
-                for (std::int64_t x = rx; x < xe; ++x) {
-                  mask.at4(b, ch, y, x) = bit;
-                }
-              }
+              g.mean = acc / static_cast<double>((g.y1 - g.y0) * (g.x1 - g.x0));
+              fn(g);
+              ++g.index;
             }
           }
         }
       },
       /*grain=*/1);
-  return mask;
+}
+
+struct SensitivityMask {
+  TensorU8 mask;
+  std::int64_t sensitive = 0;  // set elements
+};
+
+// The mask and its set elements, counted per plane and summed in plane
+// order.
+SensitivityMask sensitivity_mask(const Tensor& input, const DrqConfig& cfg) {
+  const Shape& s = input.shape();
+  if (s.rank() != 4) {
+    throw std::invalid_argument("input_sensitivity_mask: input must be NCHW");
+  }
+  SensitivityMask res{TensorU8(s), 0};
+  const std::int64_t w = s[3];
+  const std::int64_t plane_size = s[2] * w;
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(s[0] * s[1]), 0);
+  std::uint8_t* mask = res.mask.data();
+  for_each_region(input, cfg.region, [&](const Region& g) {
+    if (!(g.mean > cfg.input_threshold)) return;
+    std::uint8_t* m = mask + g.plane * plane_size;
+    for (std::int64_t y = g.y0; y < g.y1; ++y) {
+      std::fill(m + y * w + g.x0, m + y * w + g.x1, std::uint8_t{1});
+    }
+    counts[static_cast<std::size_t>(g.plane)] += (g.y1 - g.y0) * (g.x1 - g.x0);
+  });
+  for (const std::int64_t k : counts) res.sensitive += k;
+  return res;
+}
+
+}  // namespace
+
+TensorU8 input_sensitivity_mask(const Tensor& input, const DrqConfig& cfg) {
+  return sensitivity_mask(input, cfg).mask;
 }
 
 float calibrate_input_threshold(const Tensor& input, const DrqConfig& cfg,
                                 double sensitive_fraction) {
   const Shape& s = input.shape();
-  const std::int64_t n = s[0], c = s[1], h = s[2], w = s[3];
   const std::int64_t r = cfg.region;
   // Fixed region count per plane -> write means by index in parallel; the
   // sample multiset (and hence the percentile) is identical to the serial
   // walk.
-  const std::int64_t ry_n = (h + r - 1) / r;
-  const std::int64_t rx_n = (w + r - 1) / r;
-  const std::int64_t per_plane = ry_n * rx_n;
-  std::vector<double> means(static_cast<std::size_t>(n * c * per_plane), 0.0);
-  util::parallel_for(
-      n * c,
-      [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          const std::int64_t b = t / c;
-          const std::int64_t ch = t % c;
-          std::int64_t idx = t * per_plane;
-          for (std::int64_t ry = 0; ry < h; ry += r) {
-            for (std::int64_t rx = 0; rx < w; rx += r) {
-              const std::int64_t ye = std::min(ry + r, h);
-              const std::int64_t xe = std::min(rx + r, w);
-              double acc = 0.0;
-              for (std::int64_t y = ry; y < ye; ++y) {
-                for (std::int64_t x = rx; x < xe; ++x) {
-                  acc += std::abs(input.at4(b, ch, y, x));
-                }
-              }
-              means[static_cast<std::size_t>(idx++)] =
-                  acc / static_cast<double>((ye - ry) * (xe - rx));
-            }
-          }
-        }
-      },
-      /*grain=*/1);
+  const std::int64_t per_plane = ((s[2] + r - 1) / r) * ((s[3] + r - 1) / r);
+  std::vector<double> means(static_cast<std::size_t>(s[0] * s[1] * per_plane));
+  for_each_region(input, r, [&](const Region& g) {
+    means[static_cast<std::size_t>(g.plane * per_plane + g.index)] = g.mean;
+  });
   if (means.empty()) return cfg.input_threshold;
   return static_cast<float>(
       util::percentile(std::move(means), 1.0 - sensitive_fraction));
@@ -196,10 +213,10 @@ Tensor DrqConvExecutor::run(const Tensor& input, const Tensor& weight,
     cfg.input_threshold =
         calibrate_input_threshold(input, cfg, cfg.calibrate_quantile);
   }
-  TensorU8 mask = input_sensitivity_mask(input, cfg);
-  double sens = 0.0;
-  for (std::int64_t i = 0; i < mask.numel(); ++i) sens += mask[i];
-  sens /= static_cast<double>(mask.numel());
+  SensitivityMask m = sensitivity_mask(input, cfg);
+  const TensorU8& mask = m.mask;
+  const double sens =
+      static_cast<double>(m.sensitive) / static_cast<double>(mask.numel());
 
   {
     std::lock_guard<std::mutex> lock(mutex_);

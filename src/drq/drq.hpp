@@ -93,7 +93,6 @@ class DrqConvExecutor : public nn::ConvExecutor {
   std::string name() const override { return "drq"; }
 
   const DrqConfig& config() const { return cfg_; }
-  void set_input_threshold(float t) { cfg_.input_threshold = t; }
 
   // Stats for conv layer `id` (empty stats if the layer never ran).
   DrqLayerStats layer_stats(int id) const;

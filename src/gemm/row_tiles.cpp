@@ -62,14 +62,7 @@ Tensor conv_u8s8(const TensorI8& codes, const WidePanel& w,
     pack_row_tile(g, src, kp, t);
     kk.tile_u8s8_exact(t.rows, t.nr_pad, w.w.data(), w.oc_padded, kp, t.sums,
                        t.nr_pad);
-    for (std::int64_t f = 0; f < oc; ++f) {
-      const float bv = bias.empty() ? 0.0f : bias[f];
-      const std::int32_t* s = t.sums + f * t.nr_pad;
-      float* o = dst + (t.b * oc + f) * rows + t.r0;
-      for (std::int64_t q = 0; q < t.nr; ++q) {
-        o[q] = static_cast<float>(s[q]) * scale + bv;
-      }
-    }
+    store_dequantized(t, t.sums, t.nr_pad, oc, rows, scale, bias, dst);
   });
   return out;
 }

@@ -8,8 +8,10 @@
 // kMinChunkMacs MACs (a small conv runs inline on the caller). A task packs
 // its rows' activation codes (pack_tile_rows) into per-thread scratch,
 // which every integer conv shares and reuses across tasks and calls, and
-// runs a tile kernel over them for all filters. Tasks write disjoint output
-// ranges, so results do not depend on the thread count.
+// runs a tile kernel over them for all filters, then writes its float
+// outputs through the one dequantizing store (store_dequantized). Tasks
+// write disjoint output ranges, so results do not depend on the thread
+// count.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +27,7 @@ namespace odq::gemm {
 
 // Output rows per task, a multiple of the kernels' kTileRows. 64 rows of
 // the deepest ResNet-20 conv (288 taps) fill 18 KiB of L1, and each ODQ
-// task reads the tick counter four times, so tiles this coarse keep the
+// task reads the tick counter five times, so tiles this coarse keep the
 // reads cheap. Four ResNet-20 w8 conv shapes, one thread, 25 interleaved
 // repetitions, median: 401 / 330 / 336 / 351 us at 16 / 32 / 64 / 128 rows
 // (batch 1), and 32.9 / 33.1 / 32.3 ms at 16 / 32 / 64 rows for six larger
@@ -100,11 +102,31 @@ void for_each_row_tile(const ConvShape& g, std::int64_t n,
       grain);
 }
 
+// The dequantizing store every integer conv ends its task with: for each
+// filter f < oc and output pixel r of the task,
+//   out[b, f, r] = float(acc[f * acc_stride + r - r0]) * scale + bias[f],
+// one rounding of the exact int32 sum; an empty bias adds +0.0f. `out` is
+// the conv's [N, OC, rows] output and `acc` the task's sums, filter by
+// filter. The caller checks that a non-empty bias has oc entries.
+inline void store_dequantized(const RowTile& tile, const std::int32_t* acc,
+                              std::int64_t acc_stride, std::int64_t oc,
+                              std::int64_t rows, float scale,
+                              const tensor::Tensor& bias, float* out) {
+  for (std::int64_t f = 0; f < oc; ++f) {
+    const float bv = bias.empty() ? 0.0f : bias[f];
+    const std::int32_t* a = acc + f * acc_stride;
+    float* o = out + (tile.b * oc + f) * rows + tile.r0;
+    for (std::int64_t q = 0; q < tile.nr; ++q) {
+      o[q] = static_cast<float>(a[q]) * scale + bv;
+    }
+  }
+}
+
 // The exact integer conv of the static INT-N (N <= 8) and DRQ baselines:
 // `codes` holds the input's unsigned codes [N, C, H, W] (one byte each, up
 // to 255) and `w` the prepared weight panel. Each task packs its rows, runs
-// the exact tile for every filter and dequantizes once, with the bias
-// expression of nn::dequantize_epilogue:
+// the exact tile for every filter and dequantizes once through
+// store_dequantized:
 //   out[b, f, r] = float(sum_p a * w) * scale + bias[f]
 // bias is [OC] or empty. Throws std::invalid_argument for mismatched
 // shapes.

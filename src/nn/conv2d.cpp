@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "gemm/sgemm.hpp"
-#include "nn/epilogue.hpp"
 #include "tensor/ops.hpp"
 
 namespace odq::nn {
@@ -70,11 +69,14 @@ Tensor Conv2d::forward_fp32(const Tensor& x, bool train) {
                .batches = n, .b_batch = ckk * ohw,
                .c_batch = out_channels_ * ohw});
   if (has_bias_) {
-    // Shared conv epilogue (nn/epilogue.hpp): the bias-only case is the
-    // exact `p[i] += bias[oc]` loop this file used to duplicate.
-    ConvEpilogue e;
-    e.bias = bias_.value;
-    apply_conv_epilogue(out, e);
+    // The bias is added after the sum, one output plane at a time.
+    float* p = out.data();
+    for (std::int64_t b = 0; b < n; ++b) {
+      for (std::int64_t oc = 0; oc < out_channels_; ++oc, p += ohw) {
+        const float bv = bias_.value[oc];
+        for (std::int64_t i = 0; i < ohw; ++i) p[i] += bv;
+      }
+    }
   }
 
   if (train) {

@@ -21,7 +21,6 @@ class Model {
   Model& operator=(Model&&) = default;
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // Add a layer; returns a typed reference for further configuration.
   template <typename L, typename... Args>

@@ -187,43 +187,23 @@ QTensor quantize_signed(const Tensor& x, int bits) {
   return out;
 }
 
-Tensor fake_quantize_weights(const Tensor& w, int bits,
-                             WeightTransform transform) {
+Tensor fake_quantize_weights(const Tensor& w, int bits) {
   if (bits < 2 || bits > 16) {
     throw std::invalid_argument("fake_quantize_weights: bits must be in [2,16]");
   }
   const float qmax = static_cast<float>((1 << (bits - 1)) - 1);
   Tensor out(w.shape());
-  if (transform == WeightTransform::kDoReFa) {
-    Tensor t(w.shape());
-    float tmax = 0.0f;
-    for (std::int64_t i = 0; i < w.numel(); ++i) {
-      t[i] = std::tanh(w[i]);
-      tmax = std::max(tmax, std::abs(t[i]));
-    }
-    const float scale = (tmax > 0.0f ? tmax : 1.0f) / qmax;
-    util::parallel_for(
-        w.numel(),
-        [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            out[i] =
-                std::clamp(std::nearbyint(t[i] / scale), -qmax, qmax) * scale;
-          }
-        },
-        /*grain=*/1 << 13);
-  } else {
-    const float wmax = max_abs(w);
-    const float scale = (wmax > 0.0f ? wmax : 1.0f) / qmax;
-    util::parallel_for(
-        w.numel(),
-        [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            out[i] =
-                std::clamp(std::nearbyint(w[i] / scale), -qmax, qmax) * scale;
-          }
-        },
-        /*grain=*/1 << 13);
-  }
+  const float wmax = max_abs(w);
+  const float scale = (wmax > 0.0f ? wmax : 1.0f) / qmax;
+  util::parallel_for(
+      w.numel(),
+      [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          out[i] =
+              std::clamp(std::nearbyint(w[i] / scale), -qmax, qmax) * scale;
+        }
+      },
+      /*grain=*/1 << 13);
   return out;
 }
 
@@ -257,18 +237,6 @@ TensorI32 conv2d_i8(const TensorI8& input, const TensorI8& weight,
                     std::int64_t stride, std::int64_t pad) {
   const Shape& is = input.shape();
   const Shape& ws = weight.shape();
-  const std::int64_t oh = tensor::conv_out_dim(is[2], ws[2], stride, pad);
-  const std::int64_t ow = tensor::conv_out_dim(is[3], ws[3], stride, pad);
-  TensorI32 out(Shape{is[0], ws[0], oh, ow});
-  conv2d_i8_accum(input, weight, stride, pad, /*shift=*/0, out);
-  return out;
-}
-
-void conv2d_i8_accum(const TensorI8& input, const TensorI8& weight,
-                     std::int64_t stride, std::int64_t pad, int shift,
-                     TensorI32& out) {
-  const Shape& is = input.shape();
-  const Shape& ws = weight.shape();
   if (is.rank() != 4 || ws.rank() != 4) {
     throw std::invalid_argument("conv2d_i8: need NCHW input, OIHW weight");
   }
@@ -279,9 +247,10 @@ void conv2d_i8_accum(const TensorI8& input, const TensorI8& weight,
   const std::int64_t o = ws[0], kh = ws[2], kw = ws[3];
   const std::int64_t oh = tensor::conv_out_dim(h, kh, stride, pad);
   const std::int64_t ow = tensor::conv_out_dim(w, kw, stride, pad);
-  if (out.shape() != Shape{n, o, oh, ow}) {
-    throw std::invalid_argument("conv2d_i8_accum: bad output shape");
+  if (oh <= 0 || ow <= 0) {
+    throw std::invalid_argument("conv2d_i8: kernel larger than padded input");
   }
+  TensorI32 out(Shape{n, o, oh, ow});
 
   // Tiled over (batch, out-channel) planes; each tile accumulates into its
   // own output plane, so the integer result is thread-count independent.
@@ -310,12 +279,13 @@ void conv2d_i8_accum(const TensorI8& input, const TensorI8& weight,
                   }
                 }
               }
-              out.at4(b, oc, oy, ox) += acc << shift;
+              out.at4(b, oc, oy, ox) = acc;
             }
           }
         }
       },
       /*grain=*/1);
+  return out;
 }
 
 }  // namespace odq::quant

@@ -63,21 +63,16 @@ float activation_clip_from_percentile(const tensor::Tensor& x,
 // exact up to 16 bits). Used by the static INT16 baseline, whose codes do
 // not fit an int32 product sum. The activation clip follows
 // quantize_activations: >= 0 is taken as given, < 0 scans.
-tensor::Tensor fake_quantize_weights(const tensor::Tensor& w, int bits,
-                                     WeightTransform transform);
+tensor::Tensor fake_quantize_weights(const tensor::Tensor& w, int bits);
 tensor::Tensor fake_quantize_activations(const tensor::Tensor& x, int bits,
                                          float clip = -1.0f);
 
 // Integer convolution: input codes [N,C,H,W] (* signedness irrelevant; codes
-// are int8), weight codes [O,C,KH,KW], int32 accumulators out.
+// are int8), weight codes [O,C,KH,KW], int32 accumulators out. Throws
+// std::invalid_argument for other ranks, mismatched channels or a kernel
+// larger than the padded input.
 tensor::TensorI32 conv2d_i8(const tensor::TensorI8& input,
                             const tensor::TensorI8& weight,
                             std::int64_t stride, std::int64_t pad);
-
-// As conv2d_i8 but accumulates into `out` (which must be pre-shaped),
-// optionally left-shifting each product sum by `shift` bits.
-void conv2d_i8_accum(const tensor::TensorI8& input,
-                     const tensor::TensorI8& weight, std::int64_t stride,
-                     std::int64_t pad, int shift, tensor::TensorI32& out);
 
 }  // namespace odq::quant

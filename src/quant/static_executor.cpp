@@ -38,7 +38,7 @@ tensor::Tensor StaticQuantConvExecutor::run(const tensor::Tensor& input,
       p.scale = codes.scale;
       p.panel = gemm::pack_wide_panel(codes.q);
     } else {
-      p.fake = fake_quantize_weights(w, bits_, WeightTransform::kLinear);
+      p.fake = fake_quantize_weights(w, bits_);
     }
     return p;
   };

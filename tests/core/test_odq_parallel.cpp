@@ -1,9 +1,10 @@
 // Serial-vs-parallel equivalence suite for the fused ODQ conv.
 //
 // odq_conv's fused region ((batch, row tile) tasks: pack, predictor +
-// threshold, Eq. (3) remainder) must be *bit-exact* against the serial
-// reference (odq_conv_reference) — the math is integer, so equality here is
-// EXPECT_EQ, never EXPECT_NEAR. The shape matrix deliberately includes
+// threshold, Eq. (3) remainder, dequantizing store) must be *bit-exact*
+// against the serial reference (odq_conv_reference) — the math is integer
+// up to one rounding per output, so equality here is EXPECT_EQ, never
+// EXPECT_NEAR. The shape matrix deliberately includes
 // stride 2, zero padding, odd spatial dims and out-channel counts that do
 // not divide evenly into register blocks or pool chunks. The pool is sized
 // once per process, so ctest also runs this suite at ODQ_THREADS 1 and 4.
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <thread>
@@ -20,6 +23,7 @@
 
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
+#include "simd/dispatch.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -61,9 +65,13 @@ const ConvCase kCases[] = {
     {1, 4, 8, 8, 6, 3, 3, 1, 1, 1e30f},
 };
 
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
 void expect_bitwise_equal(const OdqConvResult& a, const OdqConvResult& b) {
   ASSERT_EQ(a.acc.shape(), b.acc.shape());
+  ASSERT_EQ(a.out.shape(), b.out.shape());
   for (std::int64_t i = 0; i < a.acc.numel(); ++i) {
+    ASSERT_EQ(bits(a.out[i]), bits(b.out[i])) << "out diverges at " << i;
     ASSERT_EQ(a.acc[i], b.acc[i]) << "acc diverges at " << i;
     ASSERT_EQ(a.predictor_acc[i], b.predictor_acc[i])
         << "predictor diverges at " << i;
@@ -150,6 +158,96 @@ TEST(OdqParallelGolden, NumThreadsOneIsTheReferenceEntryPoint) {
   cfg.num_threads = 1;
   expect_bitwise_equal(odq_conv(in, w, 1, 1, cfg),
                        odq_conv_reference(in, w, 1, 1, cfg));
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << what << " diverges at " << i;
+  }
+}
+
+// The executor's output is the reference's accumulators through the one
+// dequantizing store, float(acc) * scale + bias[f], bit for bit: on every
+// backend, without and with a bias, at thresholds 0, the median predictor
+// magnitude and +inf, at batch 1 and 3, with odd filter counts, on 81- and
+// 121-pixel output planes whose last row tile is short. The last case has
+// enough work per task to fan out over a multi-thread pool.
+TEST(OdqParallelGolden, ExecutorOutputIsTheReferenceDequantized) {
+  struct Case {
+    std::int64_t n, c, hw, oc;
+  };
+  const Case cases[] = {{1, 3, 9, 5},  {3, 4, 11, 7},  {3, 2, 9, 3},
+                        {1, 5, 11, 9}, {3, 32, 11, 31}};
+  struct Restore {
+    simd::Backend keep = simd::active_backend();
+    ~Restore() { simd::set_backend(keep); }
+  } restore;
+  std::uint64_t seed = 700;
+  for (const Case& cc : cases) {
+    const Tensor x = random_acts(Shape{cc.n, cc.c, cc.hw, cc.hw}, seed++);
+    const Tensor w = random_weights(Shape{cc.oc, cc.c, 3, 3}, seed++);
+    const Tensor bias = random_weights(Shape{cc.oc}, seed++);
+    // The executor's own quantization: the input max as clip, linear
+    // weights.
+    const QTensor qin = quant::quantize_activations(x, 4);
+    const QTensor qw = quant::quantize_weights(w, 4);
+
+    OdqConfig probe;
+    probe.threshold = 0.0f;
+    const OdqConvResult all = odq_conv_reference(qin, qw, 1, 1, probe);
+    std::vector<float> mags;
+    for (std::int64_t i = 0; i < all.predictor_acc.numel(); ++i) {
+      mags.push_back(
+          std::abs(static_cast<float>(all.predictor_acc[i]) * all.scale));
+    }
+    std::nth_element(mags.begin(), mags.begin() + mags.size() / 2, mags.end());
+    const float inf = std::numeric_limits<float>::infinity();
+
+    for (const float threshold : {0.0f, mags[mags.size() / 2], inf}) {
+      for (const Tensor& b : {Tensor(), bias}) {
+        OdqConfig cfg;
+        cfg.threshold = threshold;
+        const OdqConvResult ref = odq_conv_reference(qin, qw, 1, 1, cfg, b);
+        const std::int64_t plane = cc.hw * cc.hw;
+        Tensor want(ref.acc.shape());
+        for (std::int64_t i = 0; i < want.numel(); ++i) {
+          const float bv = b.empty() ? 0.0f : b[(i / plane) % cc.oc];
+          want[i] = static_cast<float>(ref.acc[i]) * ref.scale + bv;
+        }
+        const std::string what =
+            "n=" + std::to_string(cc.n) + " oc=" + std::to_string(cc.oc) +
+            " plane=" + std::to_string(plane) +
+            " thr=" + std::to_string(threshold) +
+            (b.empty() ? " no bias" : " bias");
+        expect_same_bits(ref.out, want, what + " reference");
+        // The executor refuses a non-finite threshold; no finite predictor
+        // magnitude reaches the largest float, so it selects no output
+        // either.
+        OdqConfig exec_cfg = cfg;
+        exec_cfg.threshold =
+            std::min(threshold, std::numeric_limits<float>::max());
+        for (const simd::Backend be : simd::kAllBackends) {
+          if (!simd::set_backend(be)) continue;
+          const std::string on = what + " on " + simd::backend_name(be);
+          OdqConvExecutor exec(exec_cfg);
+          expect_same_bits(exec.run(x, w, b, 1, 1, 0), want,
+                           on + " executor");
+          expect_same_bits(odq_conv(qin, qw, 1, 1, cfg, b).out, want,
+                           on + " odq_conv");
+        }
+      }
+    }
+
+    const Tensor wrong(Shape{cc.oc + 1});
+    OdqConvExecutor exec(OdqConfig{});
+    EXPECT_THROW(exec.run(x, w, wrong, 1, 1, 0), std::invalid_argument);
+    EXPECT_THROW(odq_conv(qin, qw, 1, 1, OdqConfig{}, wrong),
+                 std::invalid_argument);
+    EXPECT_THROW(odq_conv_reference(qin, qw, 1, 1, OdqConfig{}, wrong),
+                 std::invalid_argument);
+  }
 }
 
 // Paper Eq. (3): a*b == (ah*bh << 2L) + ((ah*bl + al*bh) << L) + al*bl.

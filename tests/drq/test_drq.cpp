@@ -112,8 +112,7 @@ TEST(DrqConv, AllSensitiveMatchesHighPrecisionConv) {
   Tensor o_drq = drq_conv(x, w, bias, 1, 1, cfg);
   Tensor o_hi = tensor::conv2d_direct(
       quant::fake_quantize_activations(x, cfg.hi_bits),
-      quant::fake_quantize_weights(w, cfg.hi_bits,
-                                   quant::WeightTransform::kLinear),
+      quant::fake_quantize_weights(w, cfg.hi_bits),
       bias, 1, 1);
   EXPECT_LT(tensor::max_abs_diff(o_drq, o_hi), 1e-5f);
 }
@@ -130,8 +129,7 @@ TEST(DrqConv, AllInsensitiveMatchesLowPrecisionConv) {
   Tensor o_drq = drq_conv(x, w, bias, 1, 1, cfg);
   Tensor o_lo = tensor::conv2d_direct(
       quant::fake_quantize_activations(x, cfg.lo_bits),
-      quant::fake_quantize_weights(w, cfg.hi_bits,
-                                   quant::WeightTransform::kLinear),
+      quant::fake_quantize_weights(w, cfg.hi_bits),
       bias, 1, 1);
   EXPECT_LT(tensor::max_abs_diff(o_drq, o_lo), 1e-5f);
 }

@@ -49,27 +49,18 @@ TEST(ConvI8, StridedGeometry) {
   EXPECT_EQ(out.shape(), Shape({2, 2, 4, 4}));
 }
 
-TEST(ConvI8, AccumShiftsProducts) {
-  TensorI8 in(Shape{1, 1, 1, 1}, std::int8_t{3});
-  TensorI8 w(Shape{1, 1, 1, 1}, std::int8_t{2});
-  TensorI32 out(Shape{1, 1, 1, 1});
-  conv2d_i8_accum(in, w, 1, 0, /*shift=*/4, out);
-  EXPECT_EQ(out[0], 6 << 4);
-  conv2d_i8_accum(in, w, 1, 0, /*shift=*/0, out);
-  EXPECT_EQ(out[0], (6 << 4) + 6);  // accumulates on top
-}
-
 TEST(ConvI8, ChannelMismatchThrows) {
   TensorI8 in(Shape{1, 2, 4, 4});
   TensorI8 w(Shape{1, 3, 3, 3});
   EXPECT_THROW(conv2d_i8(in, w, 1, 1), std::invalid_argument);
 }
 
+// A kernel larger than the padded input leaves no output pixel.
 TEST(ConvI8, BadOutputShapeThrows) {
-  TensorI8 in(Shape{1, 1, 4, 4});
+  TensorI8 in(Shape{1, 1, 2, 4});
   TensorI8 w(Shape{1, 1, 3, 3});
-  TensorI32 out(Shape{1, 1, 9, 9});
-  EXPECT_THROW(conv2d_i8_accum(in, w, 1, 1, 0, out), std::invalid_argument);
+  EXPECT_THROW(conv2d_i8(in, w, 1, 0), std::invalid_argument);
+  EXPECT_EQ(conv2d_i8(in, w, 1, 1).shape(), Shape({1, 1, 2, 4}));
 }
 
 // The tile packer and full-code tile kernel the ODQ conv runs. Integer
@@ -142,14 +133,14 @@ TEST(ConvI8, BitSplitDecompositionMatchesFullConv) {
   SplitTensor sw = split_codes(w);
 
   TensorI32 full = conv2d_i8(in, w, 1, 1);
-  TensorI32 sum(full.shape());
-  conv2d_i8_accum(si.high, sw.high, 1, 1, 4, sum);
-  conv2d_i8_accum(si.high, sw.low, 1, 1, 2, sum);
-  conv2d_i8_accum(si.low, sw.high, 1, 1, 2, sum);
-  conv2d_i8_accum(si.low, sw.low, 1, 1, 0, sum);
+  TensorI32 hh = conv2d_i8(si.high, sw.high, 1, 1);
+  TensorI32 hl = conv2d_i8(si.high, sw.low, 1, 1);
+  TensorI32 lh = conv2d_i8(si.low, sw.high, 1, 1);
+  TensorI32 ll = conv2d_i8(si.low, sw.low, 1, 1);
 
   for (std::int64_t i = 0; i < full.numel(); ++i) {
-    EXPECT_EQ(sum[i], full[i]) << "at " << i;
+    EXPECT_EQ((hh[i] << 4) + ((hl[i] + lh[i]) << 2) + ll[i], full[i])
+        << "at " << i;
   }
 }
 

@@ -153,15 +153,14 @@ TEST(FakeQuantize, SupportsInt16) {
   Tensor fq = fake_quantize_activations(x, 16);
   EXPECT_LT(tensor::max_abs_diff(x, fq), 1.0f / 65535.0f + 1e-6f);
   Tensor w = random_tensor(Shape{64}, 7, -1.0f, 1.0f);
-  Tensor fw = fake_quantize_weights(w, 16, WeightTransform::kLinear);
+  Tensor fw = fake_quantize_weights(w, 16);
   EXPECT_LT(tensor::max_abs_diff(w, fw), 1.0f / 32767.0f + 1e-6f);
 }
 
 TEST(FakeQuantize, RejectsBadBits) {
   Tensor x(Shape{1}, 1.0f);
   EXPECT_THROW(fake_quantize_activations(x, 17), std::invalid_argument);
-  EXPECT_THROW(fake_quantize_weights(x, 1, WeightTransform::kLinear),
-               std::invalid_argument);
+  EXPECT_THROW(fake_quantize_weights(x, 1), std::invalid_argument);
 }
 
 class BitsSweep : public ::testing::TestWithParam<int> {};
@@ -178,7 +177,7 @@ TEST_P(BitsSweep, WeightDequantizeMatchesFakeQuantize) {
   const int bits = GetParam();
   Tensor w = random_tensor(Shape{128}, 20 + bits, -1.5f, 1.5f);
   QTensor q = quantize_weights(w, bits, WeightTransform::kLinear);
-  Tensor fq = fake_quantize_weights(w, bits, WeightTransform::kLinear);
+  Tensor fq = fake_quantize_weights(w, bits);
   EXPECT_LT(tensor::max_abs_diff(q.dequantize(), fq), 1e-5f);
 }
 

@@ -139,7 +139,7 @@ TEST(StaticIntegerConv, StaysCloseToFakeQuantizedFloatConv) {
   const Tensor bias = random_weights(Shape{6}, 9);
   const Tensor ref = tensor::conv2d_direct(
       fake_quantize_activations(x, 8),
-      fake_quantize_weights(w, 8, WeightTransform::kLinear), bias, 1, 1);
+      fake_quantize_weights(w, 8), bias, 1, 1);
   StaticQuantConvExecutor ex(8);
   EXPECT_LT(tensor::max_abs_diff(ex.run(x, w, bias, 1, 1, 0), ref), 1e-5f);
 }
