@@ -1,7 +1,7 @@
 // google-benchmark micro kernels: the primitive operations whose relative
 // costs drive the accelerator model — float conv, integer conv, bit-split,
 // ODQ predictor-only, full ODQ, DRQ mixed conv, quantization, the float
-// GEMM products of a conv's forward and backward, and the ODQ executor's
+// products of a conv's forward and backward, and the ODQ executor's
 // steady state on the ResNet-20 conv shapes.
 #include <benchmark/benchmark.h>
 
@@ -160,34 +160,30 @@ void BM_QuantizeActivations(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeActivations)->Arg(65536);
 
-void BM_Im2col(benchmark::State& state) {
-  Tensor x = random_acts(Shape{1, 16, 32, 32}, 13);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::im2col(x, 3, 3, 1, 1));
-  }
-}
-BENCHMARK(BM_Im2col);
-
-// The three float GEMMs of a ResNet-20 (width 8) 3x3 conv at batch 8;
+// The three float products of a ResNet-20 (width 8) 3x3 conv at batch 8,
+// each reading the image through the conv-window view as Conv2d does;
 // range(0) is the stage: 8/16/32 channels at 32/16/8 pixels square.
 struct ConvGemm {
-  std::int64_t n = 8, c, ckk, ohw;
+  std::int64_t n = 8, c, hw, ckk, ohw;
   explicit ConvGemm(std::int64_t stage)
-      : c(8 << stage), ckk(c * 9), ohw((32 >> stage) * (32 >> stage)) {}
+      : c(8 << stage), hw(32 >> stage), ckk(c * 9), ohw(hw * hw) {}
   std::int64_t macs() const { return n * c * ckk * ohw; }
+  gemm::ConvWindows view(const Tensor& x, bool transposed) const {
+    return {x.data(), c, hw, hw, 3, 3, 1, 1, transposed};
+  }
 };
 
 // Forward: out(b) = W · cols(b).
 void BM_GemmConvForward(benchmark::State& state) {
   const ConvGemm g(state.range(0));
   Tensor w = random_weights(Shape{g.c, g.ckk}, 14);
-  Tensor cols = random_acts(Shape{g.n, g.ckk, g.ohw}, 15);
+  Tensor x = random_acts(Shape{g.n, g.c, g.hw, g.hw}, 15);
   Tensor out(Shape{g.n, g.c, g.ohw});
   for (auto _ : state) {
     gemm::sgemm({.m = g.c, .n = g.ohw, .k = g.ckk,
-                 .a = {w.data(), g.ckk, 1}, .b = {cols.data(), g.ohw, 1},
+                 .a = {w.data(), g.ckk, 1}, .b_conv = g.view(x, false),
                  .c = out.data(), .ldc = g.ohw, .batches = g.n,
-                 .b_batch = g.ckk * g.ohw, .c_batch = g.c * g.ohw});
+                 .b_batch = g.c * g.ohw, .c_batch = g.c * g.ohw});
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * g.macs());
@@ -198,13 +194,13 @@ BENCHMARK(BM_GemmConvForward)->DenseRange(0, 2);
 void BM_GemmConvWeightGrad(benchmark::State& state) {
   const ConvGemm g(state.range(0));
   Tensor go = random_weights(Shape{g.n, g.c, g.ohw}, 16);
-  Tensor cols = random_acts(Shape{g.n, g.ckk, g.ohw}, 17);
+  Tensor x = random_acts(Shape{g.n, g.c, g.hw, g.hw}, 17);
   Tensor dw(Shape{g.c, g.ckk});
   for (auto _ : state) {
     gemm::sgemm({.m = g.c, .n = g.ckk, .k = g.ohw,
-                 .a = {go.data(), g.ohw, 1}, .b = {cols.data(), 1, g.ohw},
+                 .a = {go.data(), g.ohw, 1}, .b_conv = g.view(x, true),
                  .c = dw.data(), .ldc = g.ckk, .batches = g.n,
-                 .a_batch = g.c * g.ohw, .b_batch = g.ckk * g.ohw,
+                 .a_batch = g.c * g.ohw, .b_batch = g.c * g.ohw,
                  .reduce = true});
     benchmark::DoNotOptimize(dw.data());
   }
@@ -212,18 +208,14 @@ void BM_GemmConvWeightGrad(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmConvWeightGrad)->DenseRange(0, 2);
 
-// Input gradient: dcols(b) = W^T · gradOut(b).
+// Input gradient: dX = col2im(W^T · gradOut(b)), no column matrix.
 void BM_GemmConvInputGrad(benchmark::State& state) {
   const ConvGemm g(state.range(0));
-  Tensor w = random_weights(Shape{g.c, g.ckk}, 18);
-  Tensor go = random_weights(Shape{g.n, g.c, g.ohw}, 19);
-  Tensor dcols(Shape{g.n, g.ckk, g.ohw});
+  Tensor w = random_weights(Shape{g.c, g.c, 3, 3}, 18);
+  Tensor go = random_weights(Shape{g.n, g.c, g.hw, g.hw}, 19);
   for (auto _ : state) {
-    gemm::sgemm({.m = g.ckk, .n = g.ohw, .k = g.c,
-                 .a = {w.data(), 1, g.ckk}, .b = {go.data(), g.ohw, 1},
-                 .c = dcols.data(), .ldc = g.ohw, .batches = g.n,
-                 .b_batch = g.c * g.ohw, .c_batch = g.ckk * g.ohw});
-    benchmark::DoNotOptimize(dcols.data());
+    benchmark::DoNotOptimize(
+        gemm::conv2d_input_grad(go, w, g.hw, g.hw, 1, 1));
   }
   state.SetItemsProcessed(state.iterations() * g.macs());
 }

@@ -1,6 +1,6 @@
 // Packed operands of the integer convs (ODQ's, and the exact u8 x s8 conv of
 // the static INT-N and DRQ baselines): activation row tiles and the prepared
-// weight panels (float convs use tensor::im2col and the float GEMM in
+// weight panels (float convs use the float GEMM's conv-window view in
 // gemm/sgemm.hpp instead).
 //
 // A conv is a product of an im2col matrix [OH*OW, C*KH*KW] per batch

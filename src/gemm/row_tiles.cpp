@@ -14,8 +14,6 @@ void pack_row_tile(const ConvShape& g, const std::int8_t* codes,
                    std::int64_t kp, const RowTile& tile) {
   pack_tile_rows(g, codes + tile.b * g.c * g.h * g.w, tile.r0,
                  tile.r0 + tile.nr, kp, tile.rows);
-  std::fill(tile.rows + tile.nr * kp, tile.rows + tile.nr_pad * kp,
-            std::uint8_t{0});
 }
 
 TileScratch& tile_scratch(std::int64_t row_bytes, std::int64_t sums) {

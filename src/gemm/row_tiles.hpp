@@ -59,9 +59,9 @@ struct RowTile {
   std::int32_t* sums = nullptr;
 };
 
-// Packs the task's rows of `codes` (the conv input's [N, C, H, W] codes)
-// into tile.rows, nr_pad rows of kp bytes: pack_tile_rows, then the pad
-// rows of a short last tile zeroed so the kernels only read defined codes.
+// Packs the task's nr rows of `codes` (the conv input's [N, C, H, W] codes)
+// into tile.rows, kp bytes each. Pad rows up to nr_pad keep stale scratch:
+// the kernels read them, but no store, threshold or count reads their sums.
 void pack_row_tile(const ConvShape& g, const std::int8_t* codes,
                    std::int64_t kp, const RowTile& tile);
 

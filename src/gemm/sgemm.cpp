@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "simd/dispatch.hpp"
+#include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odq::gemm {
+
+using tensor::Shape;
+using tensor::Tensor;
 
 namespace {
 
@@ -53,13 +58,92 @@ void pack_panel(const float* src, std::int64_t ws, std::int64_t ks,
   }
 }
 
+// The outputs [lo, hi) of an axis of `outs` whose tap reads inside an image
+// axis of `size`.
+using Span = std::pair<std::int64_t, std::int64_t>;
+Span inside(std::int64_t tap, std::int64_t size, std::int64_t outs,
+            std::int64_t stride, std::int64_t pad) {
+  const std::int64_t first = pad - tap, last = size - 1 + pad - tap;
+  const std::int64_t hi = last < 0 ? 0 : std::min(outs, last / stride + 1);
+  return {std::min(hi, first <= 0 ? 0 : (first + stride - 1) / stride), hi};
+}
+
+// B panels of a ConvWindows view, packed straight from the image: the
+// panels pack_panel<kNr> makes of the built im2col matrix.
+class WindowPacker {
+ public:
+  explicit WindowPacker(const ConvWindows& v) : v_(v), ow_(v.ow()) {
+    for (std::int64_t t = 0; t < std::max(v.kh, v.kw); ++t) {
+      if (t < v.kh) rows_.push_back(inside(t, v.h, v.oh(), v.stride, v.pad));
+      if (t < v.kw) cols_.push_back(inside(t, v.w, ow_, v.stride, v.pad));
+    }
+  }
+
+  // The kc-deep panel of `valid` lanes from column j and depth k0 of image
+  // `img`; lanes past `valid` are 0. Forward, lanes are output pixels and
+  // depth is taps; transposed, lanes are taps and depth is output pixels.
+  // Each tap's run of pixels is one gather.
+  void pack(const float* img, std::int64_t j, std::int64_t valid,
+            std::int64_t k0, std::int64_t kc, float* dst) const {
+    if (valid < kNr) std::fill(dst, dst + kc * kNr, 0.0f);
+    const bool tr = v_.transposed;
+    const std::int64_t p = tr ? k0 : j, t0 = tr ? j : k0, kk = v_.kh * v_.kw;
+    const std::int64_t oy = p / ow_, ox = p % ow_;
+    std::int64_t ch = t0 / kk, ki = t0 % kk / v_.kw, kj = t0 % v_.kw;
+    for (std::int64_t t = 0; t < (tr ? valid : kc); ++t, ++kj) {
+      if (kj == v_.kw) { kj = 0; ++ki; }
+      if (ki == v_.kh) { ki = 0; ++ch; }
+      const float* plane = img + ch * v_.h * v_.w;
+      if (tr) {
+        gather<kNr>(plane, ki, kj, oy, ox, kc, dst + t);
+      } else {
+        gather<1>(plane, ki, kj, oy, ox, valid, dst + t * kNr);
+      }
+    }
+  }
+
+ private:
+  // d[x * Ds] = cols(tap (ki, kj) of `plane`, pixel (oy, ox) + x) for
+  // x < len, one output row at a time: +0 where the tap reads padding.
+  template <std::int64_t Ds>
+  void gather(const float* plane, std::int64_t ki, std::int64_t kj,
+              std::int64_t oy, std::int64_t ox, std::int64_t len,
+              float* d) const {
+    const auto [y0, y1] = rows_[ki];
+    const auto [x0, x1] = cols_[kj];
+    const std::int64_t s = v_.stride;
+    for (; len > 0; ++oy, ox = 0) {
+      const std::int64_t run = std::min(len, ow_ - ox);
+      const std::int64_t lo =
+          oy >= y0 && oy < y1 ? std::clamp<std::int64_t>(x0 - ox, 0, run) : run;
+      const std::int64_t hi = std::clamp<std::int64_t>(x1 - ox, lo, run);
+      const std::int64_t at =
+          (oy * s - v_.pad + ki) * v_.w + ox * s - v_.pad + kj;
+      for (std::int64_t x = 0; x < lo; ++x) d[x * Ds] = 0.0f;
+      if (Ds == 1 && s == 1 && lo < hi) {
+        std::copy_n(plane + at + lo, hi - lo, d + lo);  // one row run
+      } else {
+        for (std::int64_t x = lo; x < hi; ++x) d[x * Ds] = plane[at + x * s];
+      }
+      for (std::int64_t x = hi; x < run; ++x) d[x * Ds] = 0.0f;
+      d += run * Ds;
+      len -= run;
+    }
+  }
+
+  const ConvWindows& v_;
+  std::int64_t ow_;
+  std::vector<Span> rows_, cols_;  // per ki, per kj
+};
+
 // A task's output block: batch `outer`, rows [i0, i0 + rows), columns
 // [j0, j0 + cols).
 struct Block {
   std::int64_t outer, i0, rows, j0, cols;
 };
 
-void run_block(const SgemmArgs& g, const simd::Kernels& kk, const Block& blk) {
+void run_block(const SgemmArgs& g, const WindowPacker* windows,
+               const simd::Kernels& kk, const Block& blk) {
   const std::int64_t ldc = g.ldc;
   float* c = g.c + blk.outer * g.c_batch + blk.i0 * ldc + blk.j0;
   for (std::int64_t r = 0; r < blk.rows; ++r) {
@@ -86,7 +170,6 @@ void run_block(const SgemmArgs& g, const simd::Kernels& kk, const Block& blk) {
   const std::int64_t last = g.reduce ? g.batches : blk.outer + 1;
   for (std::int64_t t = first; t < last; ++t) {
     const float* a = g.a.data + t * g.a_batch + blk.i0 * g.a.rs;
-    const float* b = g.b.data + t * g.b_batch + blk.j0 * g.b.cs;
     for (std::int64_t k0 = 0; k0 < g.k; k0 += kKc) {
       const std::int64_t kc = std::min(kKc, g.k - k0);
       for (std::int64_t p = 0; p < blk.rows; p += kMr) {
@@ -94,8 +177,15 @@ void run_block(const SgemmArgs& g, const simd::Kernels& kk, const Block& blk) {
                         std::min(kMr, blk.rows - p), kc, ap + p * kc);
       }
       for (std::int64_t q = 0; q < blk.cols; q += kNr) {
-        pack_panel<kNr>(b + q * g.b.cs + k0 * g.b.rs, g.b.cs, g.b.rs,
-                        std::min(kNr, blk.cols - q), kc, bp + q * kc);
+        const std::int64_t valid = std::min(kNr, blk.cols - q);
+        if (windows != nullptr) {
+          windows->pack(g.b_conv.data + t * g.b_batch, blk.j0 + q, valid, k0,
+                        kc, bp + q * kc);
+        } else {
+          pack_panel<kNr>(g.b.data + t * g.b_batch + (blk.j0 + q) * g.b.cs +
+                              k0 * g.b.rs,
+                          g.b.cs, g.b.rs, valid, kc, bp + q * kc);
+        }
       }
       for (std::int64_t q = 0; q < blk.cols; q += kNr) {
         for (std::int64_t p = 0; p < blk.rows; p += kMr) {
@@ -130,11 +220,24 @@ void sgemm(const SgemmArgs& g) {
   if (g.ldc < g.n) {
     throw std::invalid_argument("gemm::sgemm: output rows overlap (ldc < n)");
   }
+  const ConvWindows& v = g.b_conv;
+  const bool view = v.data != nullptr;
+  const std::int64_t taps = v.c * v.kh * v.kw;
+  const std::int64_t pixels = v.stride < 1 ? 0 : v.oh() * v.ow();
+  if (view && (v.c < 1 || v.kh < 1 || v.kw < 1 || v.stride < 1 ||
+               v.pad < 0 || v.oh() < 1 || v.ow() < 1 ||
+               (v.transposed ? g.k != pixels || g.n != taps
+                             : g.k != taps || g.n != pixels))) {
+    throw std::invalid_argument(
+        "gemm::sgemm: conv window larger than its padded image, or the "
+        "view's K x N is not the product's");
+  }
   if (g.m == 0 || g.n == 0) return;
   if (g.c == nullptr ||
-      (g.k > 0 && (g.a.data == nullptr || g.b.data == nullptr))) {
+      (g.k > 0 && (g.a.data == nullptr || (g.b.data == nullptr && !view)))) {
     throw std::invalid_argument("gemm::sgemm: missing operand");
   }
+  const WindowPacker windows(v);
   const std::int64_t mp = ceil_div(g.m, kMr);
   const std::int64_t np = ceil_div(g.n, kNr);
   const std::int64_t outer = g.reduce ? 1 : g.batches;
@@ -168,10 +271,85 @@ void sgemm(const SgemmArgs& g) {
           blk.j0 = (rest % nblocks) * tn * kNr;
           blk.rows = std::min(tm * kMr, g.m - blk.i0);
           blk.cols = std::min(tn * kNr, g.n - blk.j0);
-          run_block(g, kk, blk);
+          run_block(g, view ? &windows : nullptr, kk, blk);
         }
       },
       /*grain=*/inline_only ? n_tasks : 1);
+}
+
+Tensor conv2d_f32(const Tensor& input, const Tensor& weight,
+                  const Tensor& bias, std::int64_t stride, std::int64_t pad) {
+  const Shape& is = input.shape();
+  const Shape& ws = weight.shape();
+  if (is.rank() != 4 || ws.rank() != 4 || is[1] != ws[1]) {
+    throw std::invalid_argument(
+        "gemm::conv2d_f32: need NCHW input, OIHW weight, same channels");
+  }
+  // sgemm refuses a kernel larger than the padded input.
+  const ConvWindows v{input.data(), is[1], is[2], is[3], ws[2], ws[3],
+                      stride, pad};
+  const std::int64_t n = is[0], oc = ws[0];
+  const std::int64_t ckk = is[1] * ws[2] * ws[3], ohw = v.oh() * v.ow();
+  Tensor out(Shape{n, oc, v.oh(), v.ow()});
+  sgemm({.m = oc, .n = ohw, .k = ckk,
+         .a = {weight.data(), ckk, 1},
+         .b_conv = v,
+         .c = out.data(), .ldc = ohw,
+         .c0 = bias.empty() ? MatRef{} : MatRef{bias.data(), 1, 0},
+         .batches = n, .b_batch = is[1] * is[2] * is[3],
+         .c_batch = oc * ohw});
+  return out;
+}
+
+Tensor conv2d_input_grad(const Tensor& grad_out, const Tensor& weight,
+                         std::int64_t h, std::int64_t w, std::int64_t stride,
+                         std::int64_t pad) {
+  const Shape& gs = grad_out.shape();
+  const Shape& ws = weight.shape();
+  if (gs.rank() != 4 || ws.rank() != 4 || gs[1] != ws[0] || gs[2] < 1 ||
+      gs[3] < 1 || gs[2] != tensor::conv_out_dim(h, ws[2], stride, pad) ||
+      gs[3] != tensor::conv_out_dim(w, ws[3], stride, pad)) {
+    throw std::invalid_argument(
+        "gemm::conv2d_input_grad: gradient shape does not match the conv");
+  }
+  const std::int64_t n = gs[0], o = ws[0], c = ws[1], kh = ws[2], kw = ws[3];
+  const std::int64_t oh = gs[2], ow = gs[3], kk = kh * kw;
+  // Channels per task: their rows fill at most 128 KiB of scratch (L2).
+  const std::int64_t cb =
+      std::clamp<std::int64_t>(32768 / (kk * oh * ow), 1, c);
+  const std::int64_t blocks = ceil_div(c, cb);
+  Tensor dx(Shape{n, c, h, w});
+  util::parallel_for(
+      n * blocks,
+      [&](std::int64_t t0, std::int64_t t1) {
+        thread_local std::vector<float> dcols;
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const std::int64_t b = t / blocks, c0 = t % blocks * cb;
+          const std::int64_t rows = std::min(cb, c - c0) * kk;
+          dcols.resize(std::max(dcols.size(),
+                                static_cast<std::size_t>(rows * oh * ow)));
+          // Rows c0 * kk .. of Wᵀ·gradOut(b) from +0; Wᵀ is read in place.
+          sgemm({.m = rows, .n = oh * ow, .k = o,
+                 .a = {weight.data() + c0 * kk, 1, c * kk},
+                 .b = {grad_out.data() + b * o * oh * ow, oh * ow, 1},
+                 .c = dcols.data(), .ldc = oh * ow});
+          for (std::int64_t r = 0; r < rows; ++r) {
+            float* plane = dx.data() + (b * c + c0 + r / kk) * h * w;
+            const std::int64_t ki = r % kk / kw, kj = r % kw;
+            const auto [y0, y1] = inside(ki, h, oh, stride, pad);
+            const auto [x0, x1] = inside(kj, w, ow, stride, pad);
+            for (std::int64_t oy = y0; oy < y1; ++oy) {
+              float* d = plane + (oy * stride - pad + ki) * w;
+              const float* src = dcols.data() + (r * oh + oy) * ow;
+              for (std::int64_t ox = x0; ox < x1; ++ox) {
+                d[ox * stride - pad + kj] += src[ox];
+              }
+            }
+          }
+        }
+      },
+      /*grain=*/1);
+  return dx;
 }
 
 }  // namespace odq::gemm

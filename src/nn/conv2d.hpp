@@ -1,5 +1,6 @@
-// 2-D convolution layer (NCHW x OIHW), im2col + float GEMM forward
-// (gemm/sgemm.hpp), exact backward, and pluggable quantized executors.
+// 2-D convolution layer (NCHW x OIHW): float GEMM forward and exact backward
+// reading the input through its conv-window view (gemm/sgemm.hpp), with no
+// column matrix, and pluggable quantized executors.
 #pragma once
 
 #include <memory>
@@ -37,17 +38,13 @@ class Conv2d : public Layer {
   int conv_id() const { return conv_id_; }
   void set_conv_id(int id) { conv_id_ = id; }
 
-  // Numeric scheme. Null restores the FP32 im2col path. Quantized executors
+  // Numeric scheme. Null restores the FP32 GEMM path. Quantized executors
   // are used for forward only; backward uses the straight-through estimator
   // (gradients of the FP32 surrogate).
   void set_executor(std::shared_ptr<ConvExecutor> executor) {
     executor_ = std::move(executor);
   }
   ConvExecutor* executor() const { return executor_.get(); }
-
-  // MACs per forward for a given input spatial size (used by the accelerator
-  // workload extraction).
-  std::int64_t macs_for(std::int64_t in_h, std::int64_t in_w) const;
 
  private:
   tensor::Tensor forward_fp32(const tensor::Tensor& x, bool train);
@@ -61,10 +58,8 @@ class Conv2d : public Layer {
 
   std::shared_ptr<ConvExecutor> executor_;
 
-  // Backward caches; only a train-mode forward writes them.
+  // Backward cache; only a train-mode forward writes it.
   tensor::Tensor cached_input_;
-  tensor::Tensor cached_cols_;  // im2col of cached_input_
-  bool have_cols_ = false;
 };
 
 }  // namespace odq::nn

@@ -1,7 +1,7 @@
 #include "quant/static_executor.hpp"
 
-#include "gemm/gemm.hpp"
 #include "gemm/row_tiles.hpp"
+#include "gemm/sgemm.hpp"
 #include "obs/fidelity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"

@@ -52,7 +52,7 @@ class InferenceSession {
 };
 
 // Build a conv executor by scheme name. "fp32" returns nullptr (the model's
-// native im2col path); unknown names throw std::invalid_argument. The ODQ
+// native float GEMM path); unknown names throw std::invalid_argument. The ODQ
 // config parameterizes the "odq" scheme and is ignored by the others.
 std::shared_ptr<nn::ConvExecutor> make_conv_executor(
     const std::string& scheme, const core::OdqConfig& odq_cfg = {});

@@ -8,95 +8,6 @@
 
 namespace odq::tensor {
 
-Tensor im2col(const Tensor& input, std::int64_t kh, std::int64_t kw,
-              std::int64_t stride, std::int64_t pad) {
-  const Shape& s = input.shape();
-  if (s.rank() != 4) throw std::invalid_argument("im2col: input must be NCHW");
-  const std::int64_t n = s[0], c = s[1], h = s[2], w = s[3];
-  const std::int64_t oh = conv_out_dim(h, kh, stride, pad);
-  const std::int64_t ow = conv_out_dim(w, kw, stride, pad);
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument("im2col: kernel larger than padded input");
-  }
-  Tensor cols(Shape{n, c * kh * kw, oh * ow});
-  float* dst = cols.data();
-  const std::int64_t col_stride = oh * ow;
-
-  // One (batch, channel) plane per task: it writes that channel's kh*kw
-  // rows of its batch element and nothing else.
-  util::parallel_for(
-      n * c,
-      [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          const std::int64_t b = t / c;
-          const std::int64_t ch = t % c;
-          const float* img = input.data() + (b * c + ch) * h * w;
-          float* ch_dst = dst + (b * c + ch) * kh * kw * col_stride;
-          for (std::int64_t ki = 0; ki < kh; ++ki) {
-            for (std::int64_t kj = 0; kj < kw; ++kj) {
-              float* row = ch_dst + (ki * kw + kj) * col_stride;
-              std::int64_t idx = 0;
-              for (std::int64_t oy = 0; oy < oh; ++oy) {
-                const std::int64_t iy = oy * stride - pad + ki;
-                for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
-                  const std::int64_t ix = ox * stride - pad + kj;
-                  row[idx] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                                 ? img[iy * w + ix]
-                                 : 0.0f;
-                }
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-  return cols;
-}
-
-Tensor col2im(const Tensor& cols, std::int64_t channels, std::int64_t height,
-              std::int64_t width, std::int64_t kh, std::int64_t kw,
-              std::int64_t stride, std::int64_t pad) {
-  const Shape& s = cols.shape();
-  if (s.rank() != 3) throw std::invalid_argument("col2im: cols must be rank-3");
-  const std::int64_t n = s[0];
-  const std::int64_t oh = conv_out_dim(height, kh, stride, pad);
-  const std::int64_t ow = conv_out_dim(width, kw, stride, pad);
-  if (s[1] != channels * kh * kw || s[2] != oh * ow) {
-    throw std::invalid_argument("col2im: shape mismatch");
-  }
-  Tensor img(Shape{n, channels, height, width});
-  const std::int64_t col_stride = oh * ow;
-
-  // One (batch, channel) plane per task: it sums only that channel's rows,
-  // in the same (ki, kj, oy, ox) order as a serial pass, so every pixel's
-  // sum is the same at any pool size.
-  util::parallel_for(
-      n * channels,
-      [&](std::int64_t t0, std::int64_t t1) {
-        for (std::int64_t t = t0; t < t1; ++t) {
-          const float* ch_src = cols.data() + t * kh * kw * col_stride;
-          float* out = img.data() + t * height * width;
-          for (std::int64_t ki = 0; ki < kh; ++ki) {
-            for (std::int64_t kj = 0; kj < kw; ++kj) {
-              const float* row = ch_src + (ki * kw + kj) * col_stride;
-              std::int64_t idx = 0;
-              for (std::int64_t oy = 0; oy < oh; ++oy) {
-                const std::int64_t iy = oy * stride - pad + ki;
-                for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
-                  const std::int64_t ix = ox * stride - pad + kj;
-                  if (iy >= 0 && iy < height && ix >= 0 && ix < width) {
-                    out[iy * width + ix] += row[idx];
-                  }
-                }
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-  return img;
-}
-
 Tensor conv2d_direct(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, std::int64_t stride,
                      std::int64_t pad) {

@@ -1,10 +1,10 @@
-// Dense float kernels shared by the NN substrate: im2col/col2im, direct
-// convolution (reference), pooling, elementwise ops and reductions. Float
-// matrix products live in gemm/sgemm.hpp.
+// Dense float kernels shared by the NN substrate: direct convolution
+// (reference), pooling, elementwise ops and reductions. Float matrix
+// products and the float convs live in gemm/sgemm.hpp.
 //
-// All kernels are deterministic; im2col, col2im and the direct conv run in
-// parallel over disjoint (batch, channel) planes via util::parallel_for, so
-// their results do not depend on the pool size.
+// All kernels are deterministic; the direct conv runs in parallel over
+// disjoint (batch, out-channel) planes via util::parallel_for, so its
+// results do not depend on the pool size.
 #pragma once
 
 #include <cstdint>
@@ -13,29 +13,13 @@
 
 namespace odq::tensor {
 
-// im2col for NCHW input, OIHW kernels.
-//
-// input:  [N, C, H, W]
-// output: [N, C*KH*KW, OH*OW] flattened to a 2-D matrix per batch element
-//         stored as one tensor [N * (C*KH*KW) * (OH*OW)] with shape
-//         [N, C*KH*KW, OH*OW].
-// Padding is zero-padding of `pad` pixels on all sides; stride applies to
-// both dimensions.
-Tensor im2col(const Tensor& input, std::int64_t kh, std::int64_t kw,
-              std::int64_t stride, std::int64_t pad);
-
-// Inverse of im2col: scatter-adds columns back into an image gradient.
-Tensor col2im(const Tensor& cols, std::int64_t channels, std::int64_t height,
-              std::int64_t width, std::int64_t kh, std::int64_t kw,
-              std::int64_t stride, std::int64_t pad);
-
 // Output spatial size for a conv/pool window.
 inline std::int64_t conv_out_dim(std::int64_t in, std::int64_t k,
                                  std::int64_t stride, std::int64_t pad) {
   return (in + 2 * pad - k) / stride + 1;
 }
 
-// Reference direct convolution (used to validate the im2col path and as the
+// Reference direct convolution (used to validate the GEMM convs and as the
 // float baseline in quantization-error measurements).
 // input [N,C,H,W], weight [O,C,KH,KW], bias [O] (may be empty).
 Tensor conv2d_direct(const Tensor& input, const Tensor& weight,

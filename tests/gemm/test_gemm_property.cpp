@@ -9,12 +9,12 @@
 #include <cmath>
 #include <cstdint>
 
-#include "common/im2col_i8.hpp"
+#include "common/im2col.hpp"
 #include "common/proptest.hpp"
 #include "common/tile_conv.hpp"
 #include "core/odq.hpp"
-#include "gemm/gemm.hpp"
 #include "gemm/packed.hpp"
+#include "gemm/sgemm.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
@@ -97,7 +97,7 @@ TEST(GemmDifferential, Int64AccumulatorAgreesWithInt32) {
     const TensorI32 i32 =
         testutil::tile_conv(qc.input.q, qc.weight.q, g.stride, g.pad);
     const TensorI8 cols =
-        testutil::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
+        testutil::im2col(qc.input.q, g.k, g.k, g.stride, g.pad);
     const std::int64_t k = g.c * g.k * g.k;
     const std::int64_t rows = cols.shape()[2];
     SCOPED_TRACE(g.str());
@@ -230,7 +230,7 @@ TEST(GemmRoundTrip, PackedIm2colUnpacksToReferenceIm2col) {
     const testprop::QuantConvCase qc = testprop::random_quant_conv(c.rng(), g);
 
     const TensorI8 oracle =
-        testutil::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
+        testutil::im2col(qc.input.q, g.k, g.k, g.stride, g.pad);
     const ConvShape shape{g.c, g.h, g.w, g.k, g.k, g.stride, g.pad};
     const std::int64_t k = g.c * g.k * g.k;
     const std::int64_t kp = pad_k(k);

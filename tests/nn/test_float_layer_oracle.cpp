@@ -1,6 +1,8 @@
 // Conv2d and Linear forward/backward against an oracle that replays the
-// plain loops these layers ran before the float GEMM: a row-by-row matmul
-// that skips zero A entries, explicit transposes, and per-sample products.
+// plain loops these layers ran before the float GEMM: plain-loop im2col and
+// col2im (tests/common, no code shared with the library's conv-window
+// walker), a row-by-row matmul that skips zero A entries, explicit
+// transposes, and per-sample products.
 // The GEMM adds the skipped terms instead; each is ±0 onto an accumulator
 // that starts at +0 or at a nonzero value, so every output must match bit
 // for bit. Inputs carry exact zeros in the weights and ReLU-zeroed
@@ -12,10 +14,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/im2col.hpp"
 #include "common/proptest.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
-#include "tensor/ops.hpp"
 
 namespace odq::nn {
 namespace {
@@ -64,7 +66,7 @@ ConvGrads loop_conv(const Tensor& x, const Tensor& w, const Tensor& bias,
   const std::int64_t o = w.shape()[0], k = w.shape()[2];
   const std::int64_t oh = gout.shape()[2], ow = gout.shape()[3];
   const std::int64_t ckk = c * k * k, ohw = oh * ow;
-  const Tensor cols = tensor::im2col(x, k, k, stride, pad);
+  const Tensor cols = testutil::im2col(x, k, k, stride, pad);
   const Tensor w2d = w.reshaped(Shape{o, ckk});
   const Tensor w2d_t = transpose2d(w2d);
   ConvGrads r{Tensor(Shape{n, o, oh, ow}), Tensor(), dw0, Tensor(Shape{o})};
@@ -95,8 +97,8 @@ ConvGrads loop_conv(const Tensor& x, const Tensor& w, const Tensor& bias,
       r.db[oc] += acc;
     }
   }
-  r.dx = tensor::col2im(dcols, c, x.shape()[2], x.shape()[3], k, k, stride,
-                        pad);
+  r.dx = testutil::col2im(dcols, c, x.shape()[2], x.shape()[3], k, k, stride,
+                          pad);
   return r;
 }
 

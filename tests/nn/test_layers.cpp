@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "gemm/sgemm.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -59,17 +60,76 @@ TEST(Conv2dLayer, ParamsExposeWeightAndBias) {
   EXPECT_EQ(ps.size(), 1u);
 }
 
-TEST(Conv2dLayer, MacsForFormula) {
-  Conv2d conv(16, 32, 3, 1, 1);
-  // 32x32 input -> 32x32 output: 32*32*32*16*3*3
-  EXPECT_EQ(conv.macs_for(32, 32), 32LL * 32 * 32 * 16 * 3 * 3);
-}
-
 TEST(Conv2dLayer, VisitConvsVisitsSelf) {
   Conv2d conv(1, 1, 3, 1, 1);
   int count = 0;
   conv.visit_convs([&count](Conv2d&) { ++count; });
   EXPECT_EQ(count, 1);
+}
+
+// The production conv keeps im2col's refusals: a kernel larger than the
+// padded input, and an input that is not NCHW.
+TEST(Im2col, KernelLargerThanPaddedInputThrows) {
+  Conv2d conv(1, 1, 5, 1, 0);
+  EXPECT_THROW(conv.forward(Tensor(Shape{1, 1, 2, 2}), true),
+               std::invalid_argument);
+  EXPECT_THROW(gemm::conv2d_f32(Tensor(Shape{1, 1, 2, 2}),
+                                Tensor(Shape{1, 1, 3, 3}), Tensor(), 1, 0),
+               std::invalid_argument);
+}
+
+TEST(Im2col, RejectsNonNchw) {
+  Conv2d conv(1, 1, 3, 1, 1);
+  EXPECT_THROW(conv.forward(Tensor(Shape{4, 4}), false),
+               std::invalid_argument);
+  EXPECT_THROW(gemm::conv2d_f32(Tensor(Shape{4, 4}),
+                                Tensor(Shape{1, 1, 3, 3}), Tensor(), 1, 1),
+               std::invalid_argument);
+}
+
+// Backward is the adjoint of forward, <conv(x), y> == <x, dX(y)>: the
+// defining property of col2im, on strided and padded windows.
+TEST(Col2im, IsAdjointOfIm2col) {
+  const std::int64_t geoms[][2] = {{1, 1}, {2, 1}, {2, 0}, {3, 2}};
+  std::uint64_t seed = 5;
+  for (const auto& [stride, pad] : geoms) {
+    Conv2d conv(2, 3, 3, stride, pad, /*bias=*/false);
+    conv.weight().value = random_tensor(Shape{3, 2, 3, 3}, seed++);
+    const Tensor x = random_tensor(Shape{2, 2, 7, 7}, seed++);
+    const Tensor out = conv.forward(x, /*train=*/true);
+    const Tensor y = random_tensor(out.shape(), seed++);
+    const Tensor back = conv.backward(y);
+    double lhs = 0.0, rhs = 0.0;
+    for (std::int64_t i = 0; i < out.numel(); ++i) lhs += out[i] * y[i];
+    for (std::int64_t i = 0; i < x.numel(); ++i) rhs += x[i] * back[i];
+    EXPECT_NEAR(lhs, rhs, 1e-3) << "stride " << stride << " pad " << pad;
+  }
+}
+
+// dX of all-ones weights and gradients counts the windows covering each
+// pixel.
+TEST(Col2im, CountsOverlaps) {
+  Conv2d conv(1, 1, 2, 1, 0, /*bias=*/false);  // k=2, s=1, input 3x3
+  conv.weight().value = Tensor(Shape{1, 1, 2, 2}, 1.0f);
+  (void)conv.forward(Tensor(Shape{1, 1, 3, 3}), /*train=*/true);
+  const Tensor img = conv.backward(Tensor(Shape{1, 1, 2, 2}, 1.0f));
+  EXPECT_EQ(img.at4(0, 0, 1, 1), 4.0f);  // center: all four windows
+  EXPECT_EQ(img.at4(0, 0, 0, 0), 1.0f);
+  EXPECT_EQ(img.at4(0, 0, 0, 1), 2.0f);
+}
+
+// A gradient that is not the forward's output shape is refused, not read
+// out of bounds.
+TEST(Col2im, ShapeMismatchThrows) {
+  Conv2d conv(2, 3, 3, 1, 1);
+  (void)conv.forward(random_tensor(Shape{1, 2, 5, 5}, 9), /*train=*/true);
+  EXPECT_THROW(conv.backward(Tensor(Shape{1, 3, 4, 4})),
+               std::invalid_argument);
+  EXPECT_THROW(conv.backward(Tensor(Shape{2, 3, 5, 5})),
+               std::invalid_argument);
+  EXPECT_THROW(gemm::conv2d_input_grad(Tensor(Shape{1, 3, 4, 4}),
+                                       conv.weight().value, 5, 5, 1, 1),
+               std::invalid_argument);
 }
 
 TEST(LinearLayer, ComputesAffine) {

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "common/im2col_i8.hpp"
+#include "common/im2col.hpp"
 #include "common/tile_conv.hpp"
 #include "core/odq.hpp"
+#include "gemm/sgemm.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
@@ -111,13 +112,22 @@ TEST(ConvI8Fast, RejectsBadShapes) {
                std::invalid_argument);
 }
 
-// The int8 im2col oracle (tests/common) agrees with the float im2col.
+// The int8 im2col oracle (tests/common) agrees with the float GEMM's
+// conv-window view: an identity A reads the view back as its matrix, each
+// output 1·b plus exact +0 terms, since integer codes carry no -0.
 TEST(Im2colI8, MatchesFloatIm2col) {
   TensorI8 in = random_codes(Shape{1, 2, 6, 6}, 11, -8, 7);
   Tensor inf(in.shape());
   for (std::int64_t i = 0; i < in.numel(); ++i) inf[i] = in[i];
-  TensorI8 ci = testutil::im2col_i8(in, 3, 3, 1, 1);
-  Tensor cf = tensor::im2col(inf, 3, 3, 1, 1);
+  TensorI8 ci = testutil::im2col(in, 3, 3, 1, 1);
+  const std::int64_t ckk = 2 * 9, ohw = 36;
+  Tensor eye(Shape{ckk, ckk});
+  for (std::int64_t i = 0; i < ckk; ++i) eye[i * ckk + i] = 1.0f;
+  Tensor cf(Shape{ckk, ohw});
+  gemm::sgemm({.m = ckk, .n = ohw, .k = ckk,
+               .a = {eye.data(), ckk, 1},
+               .b_conv = {inf.data(), 2, 6, 6, 3, 3, 1, 1},
+               .c = cf.data(), .ldc = ohw});
   ASSERT_EQ(ci.numel(), cf.numel());
   for (std::int64_t i = 0; i < ci.numel(); ++i) {
     ASSERT_EQ(static_cast<float>(ci[i]), cf[i]);

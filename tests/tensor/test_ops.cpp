@@ -234,7 +234,8 @@ TEST(Diff, MaxAndMean) {
   EXPECT_FLOAT_EQ(testutil::mean_abs_diff(a, b), 2.0f);
 }
 
-// Parameterized: im2col conv path agrees with direct conv for many geometries.
+// Parameterized: the float GEMM over the conv-window view agrees with the
+// direct conv for many geometries.
 using ConvGeom = std::tuple<int, int, int, int, int, int>;  // C,O,H,K,S,P
 
 class ConvAgreement : public ::testing::TestWithParam<ConvGeom> {};
@@ -246,14 +247,14 @@ TEST_P(ConvAgreement, Im2colMatmulMatchesDirect) {
   Tensor bias;
   Tensor direct = conv2d_direct(x, w, bias, s, p);
 
-  Tensor cols = im2col(x, k, k, s, p);
   const std::int64_t ckk = c * k * k;
   const std::int64_t ohw = direct.shape()[2] * direct.shape()[3];
   Tensor via_cols(direct.shape());
   gemm::sgemm({.m = o, .n = ohw, .k = ckk,
-               .a = {w.data(), ckk, 1}, .b = {cols.data(), ohw, 1},
+               .a = {w.data(), ckk, 1},
+               .b_conv = {x.data(), c, h, h, k, k, s, p},
                .c = via_cols.data(), .ldc = ohw,
-               .batches = 2, .b_batch = ckk * ohw, .c_batch = o * ohw});
+               .batches = 2, .b_batch = c * h * h, .c_batch = o * ohw});
   // Same terms in the same order from +0: the padding taps the direct conv
   // skips are ±0 terms here, which change no bit.
   for (std::int64_t i = 0; i < direct.numel(); ++i) {
