@@ -1,13 +1,17 @@
 // google-benchmark micro kernels: the primitive operations whose relative
 // costs drive the accelerator model — float conv, integer conv, bit-split,
 // ODQ predictor-only, full ODQ, DRQ mixed conv, quantization, the float
-// products of a conv's forward and backward, and the ODQ executor's
-// steady state on the ResNet-20 conv shapes.
+// products of a conv's forward and backward, the ODQ executor's steady
+// state on the ResNet-20 conv shapes, and the non-conv layers of a
+// training step and an eval forward.
 #include <benchmark/benchmark.h>
 
 #include "core/odq.hpp"
 #include "drq/drq.hpp"
 #include "gemm/sgemm.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/pooling.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "quant/static_executor.hpp"
@@ -220,6 +224,76 @@ void BM_GemmConvInputGrad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.macs());
 }
 BENCHMARK(BM_GemmConvInputGrad)->DenseRange(0, 2);
+
+// The non-conv layers on a width-8 activation at batch 8; range(0) is the
+// stage: 8/16/32 channels at 32/16/8 pixels square. Stage 0 is the first
+// stage of both ResNet-20 and VGG-16 (8 x 8 x 32 x 32); stages 1 and 2 are
+// ResNet-20's later stages and VGG-16's second and third.
+Shape layer_shape(std::int64_t stage) {
+  return Shape{8, 8 << stage, 32 >> stage, 32 >> stage};
+}
+
+void BM_BatchNormTrainForward(benchmark::State& state) {
+  const Tensor x = random_weights(layer_shape(state.range(0)), 20);
+  nn::BatchNorm2d bn(x.shape()[1]);
+  for (auto _ : state) benchmark::DoNotOptimize(bn.forward(x, true));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_BatchNormTrainForward)->DenseRange(0, 2);
+
+void BM_BatchNormTrainBackward(benchmark::State& state) {
+  const Tensor x = random_weights(layer_shape(state.range(0)), 21);
+  const Tensor g = random_weights(x.shape(), 22);
+  nn::BatchNorm2d bn(x.shape()[1]);
+  (void)bn.forward(x, true);
+  for (auto _ : state) benchmark::DoNotOptimize(bn.backward(g));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_BatchNormTrainBackward)->DenseRange(0, 2);
+
+void BM_BatchNormEval(benchmark::State& state) {
+  const Tensor x = random_weights(layer_shape(state.range(0)), 23);
+  nn::BatchNorm2d bn(x.shape()[1]);
+  for (auto _ : state) benchmark::DoNotOptimize(bn.forward(x, false));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_BatchNormEval)->DenseRange(0, 2);
+
+// Normal inputs: half the ReLU mask is set, in no pattern a branch
+// predictor could learn.
+void BM_ReluTrainForward(benchmark::State& state) {
+  const Tensor x = random_weights(layer_shape(state.range(0)), 24);
+  nn::ReLU relu;
+  for (auto _ : state) benchmark::DoNotOptimize(relu.forward(x, true));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_ReluTrainForward)->DenseRange(0, 2);
+
+void BM_ReluTrainBackward(benchmark::State& state) {
+  const Tensor x = random_weights(layer_shape(state.range(0)), 25);
+  const Tensor g = random_weights(x.shape(), 26);
+  nn::ReLU relu;
+  (void)relu.forward(x, true);
+  for (auto _ : state) benchmark::DoNotOptimize(relu.backward(g));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_ReluTrainBackward)->DenseRange(0, 2);
+
+void BM_ReluEval(benchmark::State& state) {
+  const Tensor x = random_weights(layer_shape(state.range(0)), 27);
+  nn::ReLU relu;
+  for (auto _ : state) benchmark::DoNotOptimize(relu.forward(x, false));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_ReluEval)->DenseRange(0, 2);
+
+void BM_MaxPool2dEval(benchmark::State& state) {
+  const Tensor x = random_weights(layer_shape(state.range(0)), 28);
+  nn::MaxPool2d pool(2);
+  for (auto _ : state) benchmark::DoNotOptimize(pool.forward(x, false));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_MaxPool2dEval)->DenseRange(0, 2);
 
 }  // namespace
 

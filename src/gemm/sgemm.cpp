@@ -25,8 +25,10 @@ constexpr std::int64_t kKc = 256;
 // packed A and B blocks (64 + 128 KiB) stay in L2.
 constexpr std::int64_t kMaxRowPanels = 16;
 constexpr std::int64_t kMaxColPanels = 8;
-// Tasks shrink, columns first, until there are at least this many, so a
-// product with few outputs still spreads over the pool.
+// Tasks of a product that fans out shrink, columns first, until there are
+// at least this many, so a product with few outputs still spreads over the
+// pool. A conv-window view's tasks shrink in columns only: every task that
+// reads a B panel gathers it from the image again.
 constexpr std::int64_t kMinTasks = 16;
 // Products with fewer multiply-adds than this run on the calling thread.
 constexpr std::int64_t kInlineMacs = std::int64_t{1} << 16;
@@ -246,7 +248,12 @@ void sgemm(const SgemmArgs& g) {
   const auto tasks = [&] {
     return outer * ceil_div(mp, tm) * ceil_div(np, tn);
   };
-  while (tasks() < kMinTasks && (tm > 1 || tn > 1)) {
+  // The conditions under which parallel_for runs the tasks on the caller.
+  const bool inline_only = g.m * g.n * g.k * g.batches < kInlineMacs ||
+                           util::ThreadPool::in_parallel_for() ||
+                           util::ThreadPool::global().size() <= 1;
+  while (!inline_only && tasks() < kMinTasks &&
+         (tn > 1 || (tm > 1 && !view))) {
     if (tn > 1) {
       tn = ceil_div(tn, 2);
     } else {
@@ -259,7 +266,6 @@ void sgemm(const SgemmArgs& g) {
   // One table fetch per call: a backend flip between calls never splits a
   // product across two kernels.
   const simd::Kernels& kk = simd::active_kernels();
-  const bool inline_only = g.m * g.n * g.k * g.batches < kInlineMacs;
   util::parallel_for(
       n_tasks,
       [&](std::int64_t t0, std::int64_t t1) {

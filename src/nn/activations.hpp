@@ -15,7 +15,8 @@ class ReLU : public Layer {
 
  private:
   std::string label_;
-  tensor::TensorU8 mask_;  // 1 where input > 0
+  // 1 where the input was > 0; reused while the input shape repeats.
+  tensor::TensorU8 mask_;
 };
 
 }  // namespace odq::nn

@@ -32,10 +32,9 @@ class BatchNorm2d : public Layer {
   Param gamma_, beta_;
   tensor::Tensor running_mean_, running_var_;
 
-  // Backward caches (train mode).
+  // Backward caches (train mode), reused while the input shape repeats.
   tensor::Tensor cached_xhat_;
   tensor::Tensor cached_inv_std_;  // [C]; 0 for a constant channel
-  std::int64_t cached_n_ = 0;      // N*H*W per channel
 };
 
 }  // namespace odq::nn

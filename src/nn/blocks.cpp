@@ -42,11 +42,12 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
                                     train),
                      train),
       train);
-  Tensor shortcut =
-      has_projection_
-          ? proj_bn_->forward(proj_conv_->forward(x, train), train)
-          : x;
-  tensor::add_inplace(main, shortcut);
+  if (has_projection_) {
+    tensor::add_inplace(
+        main, proj_bn_->forward(proj_conv_->forward(x, train), train));
+  } else {
+    tensor::add_inplace(main, x);
+  }
   return relu2_.forward(main, train);
 }
 
@@ -56,9 +57,11 @@ Tensor ResidualBlock::backward(const Tensor& grad_out) {
   Tensor gmain = conv1_.backward(
       bn1_.backward(relu1_.backward(conv2_.backward(bn2_.backward(g)))));
   // Shortcut path.
-  Tensor gshort =
-      has_projection_ ? proj_conv_->backward(proj_bn_->backward(g)) : g;
-  tensor::add_inplace(gmain, gshort);
+  if (has_projection_) {
+    tensor::add_inplace(gmain, proj_conv_->backward(proj_bn_->backward(g)));
+  } else {
+    tensor::add_inplace(gmain, g);
+  }
   return gmain;
 }
 

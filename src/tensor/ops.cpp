@@ -4,9 +4,64 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/blocked.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odq::tensor {
+
+namespace {
+
+// The value max-pool starts each window from.
+constexpr float kPoolFloor = -3.4e38f;
+
+[[gnu::noinline]]
+void add_pass(float* __restrict a, const float* __restrict b,
+              std::int64_t n) {
+  for_blocks(n, [&](std::int64_t i) { a[i] += b[i]; });
+}
+
+// One output row of k x k max pooling, stride k: out[ox] folds the window
+// in (ki, kj) order from kPoolFloor with best = v > best ? v : best, a
+// select (maxss), so a NaN is skipped and a tie keeps the first value.
+// Out of line, so that no caller's context turns the select into a jump.
+[[gnu::noinline]]
+void max_row(const float* __restrict in, float* __restrict out,
+             std::int64_t k, std::int64_t w, std::int64_t ow) {
+  for (std::int64_t ox = 0; ox < ow; ++ox) {
+    float best = kPoolFloor;
+    for (std::int64_t ki = 0; ki < k; ++ki) {
+      for (std::int64_t kj = 0; kj < k; ++kj) {
+        const float v = in[ki * w + ox * k + kj];
+        best = v > best ? v : best;
+      }
+    }
+    out[ox] = best;
+  }
+}
+
+// max_row plus, per output, the flat input index of the value it kept. A
+// window in which nothing beats kPoolFloor (all NaN, say) keeps the index
+// of its first element, so backward routes its gradient inside the tensor.
+void max_row_argmax(const float* __restrict in, std::int64_t first,
+                    float* __restrict out, std::int32_t* __restrict idx,
+                    std::int64_t k, std::int64_t w, std::int64_t ow) {
+  for (std::int64_t ox = 0; ox < ow; ++ox) {
+    float best = kPoolFloor;
+    std::int64_t best_at = first + ox * k;
+    for (std::int64_t ki = 0; ki < k; ++ki) {
+      for (std::int64_t kj = 0; kj < k; ++kj) {
+        const std::int64_t at = first + ki * w + ox * k + kj;
+        const bool gt = in[at] > best;
+        best = gt ? in[at] : best;
+        best_at = gt ? at : best_at;
+      }
+    }
+    out[ox] = best;
+    idx[ox] = static_cast<std::int32_t>(best_at);
+  }
+}
+
+}  // namespace
 
 Tensor conv2d_direct(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, std::int64_t stride,
@@ -71,10 +126,7 @@ void add_inplace(Tensor& a, const Tensor& b) {
     throw std::invalid_argument("add: shape mismatch " + a.shape().str() +
                                 " vs " + b.shape().str());
   }
-  float* pa = a.data();
-  const float* pb = b.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
+  add_pass(a.data(), b.data(), a.numel());
 }
 
 Tensor maxpool2d(const Tensor& input, std::int64_t k, TensorI32* argmax) {
@@ -83,30 +135,18 @@ Tensor maxpool2d(const Tensor& input, std::int64_t k, TensorI32* argmax) {
   const std::int64_t n = s[0], c = s[1], h = s[2], w = s[3];
   const std::int64_t oh = h / k, ow = w / k;
   Tensor out(Shape{n, c, oh, ow});
-  if (argmax != nullptr) *argmax = TensorI32(Shape{n, c, oh, ow});
-
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          float best = -3.4e38f;
-          std::int64_t best_idx = -1;
-          for (std::int64_t ki = 0; ki < k; ++ki) {
-            for (std::int64_t kj = 0; kj < k; ++kj) {
-              const std::int64_t iy = oy * k + ki;
-              const std::int64_t ix = ox * k + kj;
-              const float v = input.at4(b, ch, iy, ix);
-              if (v > best) {
-                best = v;
-                best_idx = input.index4(b, ch, iy, ix);
-              }
-            }
-          }
-          out.at4(b, ch, oy, ox) = best;
-          if (argmax != nullptr) {
-            argmax->at4(b, ch, oy, ox) = static_cast<std::int32_t>(best_idx);
-          }
-        }
+  if (argmax != nullptr && argmax->shape() != out.shape()) {
+    *argmax = TensorI32(out.shape());
+  }
+  for (std::int64_t plane = 0; plane < n * c; ++plane) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      const std::int64_t first = (plane * h + oy * k) * w;
+      const std::int64_t at = (plane * oh + oy) * ow;
+      if (argmax == nullptr) {
+        max_row(input.data() + first, out.data() + at, k, w, ow);
+      } else {
+        max_row_argmax(input.data(), first, out.data() + at,
+                   argmax->data() + at, k, w, ow);
       }
     }
   }

@@ -25,7 +25,8 @@ inline std::int64_t conv_out_dim(std::int64_t in, std::int64_t k,
 Tensor conv2d_direct(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, std::int64_t stride, std::int64_t pad);
 
-// Elementwise.
+// Elementwise. add_inplace reads b through a __restrict pointer, so b must
+// be another tensor than a.
 Tensor add(const Tensor& a, const Tensor& b);
 void add_inplace(Tensor& a, const Tensor& b);
 

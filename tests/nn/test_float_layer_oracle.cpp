@@ -1,23 +1,36 @@
-// Conv2d and Linear forward/backward against an oracle that replays the
-// plain loops these layers ran before the float GEMM: plain-loop im2col and
-// col2im (tests/common, no code shared with the library's conv-window
-// walker), a row-by-row matmul that skips zero A entries, explicit
-// transposes, and per-sample products.
-// The GEMM adds the skipped terms instead; each is ±0 onto an accumulator
-// that starts at +0 or at a nonzero value, so every output must match bit
-// for bit. Inputs carry exact zeros in the weights and ReLU-zeroed
-// gradients, which is where the skip used to fire. ctest and the TSan job
-// also run the suite at ODQ_THREADS 1 and 4.
+// Conv2d, Linear, BatchNorm2d, ReLU and MaxPool2d forward/backward against
+// an oracle that replays the plain loops these layers ran before their
+// blocked passes and the float GEMM.
+//
+// Conv2d and Linear: plain-loop im2col and col2im (tests/common, no code
+// shared with the library's conv-window walker), a row-by-row matmul that
+// skips zero A entries, explicit transposes, and per-sample products. The
+// GEMM adds the skipped terms instead; each is ±0 onto an accumulator that
+// starts at +0 or at a nonzero value, so every output must match bit for
+// bit. Inputs carry exact zeros in the weights and ReLU-zeroed gradients,
+// which is where the skip used to fire.
+//
+// BatchNorm2d, ReLU and MaxPool2d: serial loops, one channel at a time,
+// with one double chain per channel sum and a branch per select. Inputs
+// carry +0 and -0, NaN inputs and gradients, tied window maxima and a
+// channel that is constant over the batch.
+//
+// ctest and the TSan job also run the suite at ODQ_THREADS 1 and 4.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/im2col.hpp"
 #include "common/proptest.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "nn/pooling.hpp"
 
 namespace odq::nn {
 namespace {
@@ -197,6 +210,286 @@ TEST(FloatLayerOracle, LinearForwardBackwardMatchLoopsBitwise) {
     expect_bitwise(fc.backward(gout), want_dx, "dx");
     expect_bitwise(fc.weight().grad, want_dw, "dW");
     expect_bitwise(fc.bias().grad, want_db, "db");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BatchNorm2d, ReLU and MaxPool2d.
+// ---------------------------------------------------------------------------
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+// The geometries of the non-conv oracles: every channel count against every
+// plane against both batches. 32x32 at batch 8 with 8 or more channels fans
+// BatchNorm's channel groups out over the pool.
+struct Geom4 {
+  std::int64_t n, c, h, w;
+};
+std::vector<Geom4> layer_geoms() {
+  const std::int64_t channels[] = {1, 3, 5, 8, 17};
+  const std::int64_t planes[][2] = {{1, 1}, {7, 7}, {9, 9}, {32, 32}, {6, 11}};
+  std::vector<Geom4> out;
+  for (const std::int64_t n : {1, 8}) {
+    for (const std::int64_t c : channels) {
+      for (const auto& p : planes) out.push_back({n, c, p[0], p[1]});
+    }
+  }
+  return out;
+}
+
+// Normal entries; `special_in_10` of every 10 are drawn from `specials`.
+void fill_special(util::Rng& rng, Tensor& t, int special_in_10,
+                  const std::vector<float>& specials) {
+  const int last = static_cast<int>(specials.size()) - 1;
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = rng.uniform_int(0, 9) < special_in_10
+               ? specials[static_cast<std::size_t>(rng.uniform_int(0, last))]
+               : rng.normal_f(0.0f, 1.0f);
+  }
+}
+
+struct BnLoop {
+  Tensor out, xhat, inv_std, running_mean, running_var;
+};
+
+// BatchNorm2d's train forward as it ran: per channel, the mean and the
+// variance as one double chain each, image by image and pixel by pixel;
+// inv_std 0 for a constant channel; then the running stats and the
+// normalized output.
+BnLoop loop_bn_train(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                     Tensor running_mean, Tensor running_var) {
+  const float momentum = 0.1f, eps = 1e-5f;
+  const std::int64_t n = x.shape()[0], c = x.shape()[1];
+  const std::int64_t hw = x.shape()[2] * x.shape()[3];
+  BnLoop r{Tensor(x.shape()), Tensor(x.shape()), Tensor(Shape{c}),
+           std::move(running_mean), std::move(running_var)};
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    double mean = 0.0;
+    for (std::int64_t b = 0; b < n; ++b) {
+      for (std::int64_t i = 0; i < hw; ++i) mean += x[(b * c + ch) * hw + i];
+    }
+    mean /= static_cast<double>(n * hw);
+    double var = 0.0;
+    for (std::int64_t b = 0; b < n; ++b) {
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const double d = x[(b * c + ch) * hw + i] - mean;
+        var += d * d;
+      }
+    }
+    var /= static_cast<double>(n * hw);
+    const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+    r.inv_std[ch] = var > 0.0 ? inv_std : 0.0f;
+    r.running_mean[ch] = (1.0f - momentum) * r.running_mean[ch] +
+                         momentum * static_cast<float>(mean);
+    r.running_var[ch] = (1.0f - momentum) * r.running_var[ch] +
+                        momentum * static_cast<float>(var);
+    for (std::int64_t b = 0; b < n; ++b) {
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const std::int64_t at = (b * c + ch) * hw + i;
+        r.xhat[at] = (x[at] - static_cast<float>(mean)) * inv_std;
+        r.out[at] = gamma[ch] * r.xhat[at] + beta[ch];
+      }
+    }
+  }
+  return r;
+}
+
+// BatchNorm2d's backward as it ran; accumulates onto dgamma and dbeta.
+Tensor loop_bn_backward(const Tensor& gout, const BnLoop& fwd,
+                        const Tensor& gamma, Tensor& dgamma, Tensor& dbeta) {
+  const std::int64_t n = gout.shape()[0], c = gout.shape()[1];
+  const std::int64_t hw = gout.shape()[2] * gout.shape()[3];
+  const auto m = static_cast<float>(n * hw);
+  Tensor dx(gout.shape());
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    double sum_dy = 0.0, sum_dy_xhat = 0.0;
+    for (std::int64_t b = 0; b < n; ++b) {
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const std::int64_t at = (b * c + ch) * hw + i;
+        sum_dy += gout[at];
+        sum_dy_xhat += static_cast<double>(gout[at]) * fwd.xhat[at];
+      }
+    }
+    dgamma[ch] += static_cast<float>(sum_dy_xhat);
+    dbeta[ch] += static_cast<float>(sum_dy);
+    const auto sdy = static_cast<float>(sum_dy);
+    const auto sdyx = static_cast<float>(sum_dy_xhat);
+    for (std::int64_t b = 0; b < n; ++b) {
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const std::int64_t at = (b * c + ch) * hw + i;
+        dx[at] = gamma[ch] * fwd.inv_std[ch] / m *
+                 (m * gout[at] - sdy - fwd.xhat[at] * sdyx);
+      }
+    }
+  }
+  return dx;
+}
+
+Tensor loop_bn_eval(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                    const Tensor& running_mean, const Tensor& running_var) {
+  const std::int64_t n = x.shape()[0], c = x.shape()[1];
+  const std::int64_t hw = x.shape()[2] * x.shape()[3];
+  Tensor out(x.shape());
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    const float inv_std = 1.0f / std::sqrt(running_var[ch] + 1e-5f);
+    for (std::int64_t b = 0; b < n; ++b) {
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const std::int64_t at = (b * c + ch) * hw + i;
+        out[at] = gamma[ch] * (x[at] - running_mean[ch]) * inv_std + beta[ch];
+      }
+    }
+  }
+  return out;
+}
+
+// One layer per channel count runs every plane and batch twice in a row,
+// so its caches are both rebuilt (new shape) and reused (same shape).
+TEST(FloatLayerOracle, BatchNorm2dMatchesLoopsBitwise) {
+  int index = 0;
+  for (const std::int64_t c : {1, 3, 5, 8, 17}) {
+    BatchNorm2d bn(c);
+    for (const Geom4& g : layer_geoms()) {
+      if (g.c != c) continue;
+      for (int step = 0; step < 2; ++step) {
+        ODQ_PROP_CASE(pc, 9900 + index++);
+        fill_special(pc.rng(), bn.gamma().value, 0, {});
+        fill_special(pc.rng(), bn.beta().value, 0, {});
+        fill_special(pc.rng(), bn.gamma().grad, 0, {});
+        fill_special(pc.rng(), bn.beta().grad, 0, {});
+        Tensor x(Shape{g.n, c, g.h, g.w});
+        fill_special(pc.rng(), x, 2, {0.0f, -0.0f});
+        const std::int64_t hw = g.h * g.w;
+        if (c > 1) {  // channel c / 2 is constant over the batch
+          for (std::int64_t b = 0; b < g.n; ++b) {
+            std::fill_n(x.data() + (b * c + c / 2) * hw, hw, 0.375f);
+          }
+        }
+        Tensor gout(x.shape());
+        fill_special(pc.rng(), gout, 2, {0.0f, -0.0f});
+        // The last channel of x and the first of gout open with +1e20 and
+        // close with -1e20. Each absorbs the terms between them, so those
+        // channels' double sums, and the floats made from them, change
+        // with the order of the chain.
+        x[(c - 1) * hw] = 1e20f;
+        x[((g.n - 1) * c + c) * hw - 1] = -1e20f;
+        gout[0] = 1e20f;
+        gout[((g.n - 1) * c + 1) * hw - 1] = -1e20f;
+        const Tensor gamma = bn.gamma().value, beta = bn.beta().value;
+        Tensor dgamma = bn.gamma().grad, dbeta = bn.beta().grad;
+
+        const BnLoop want =
+            loop_bn_train(x, gamma, beta, bn.running_mean(), bn.running_var());
+        expect_bitwise(bn.forward(x, /*train=*/true), want.out, "train out");
+        expect_bitwise(bn.running_mean(), want.running_mean, "running mean");
+        expect_bitwise(bn.running_var(), want.running_var, "running var");
+        const Tensor want_dx = loop_bn_backward(gout, want, gamma, dgamma,
+                                                dbeta);
+        expect_bitwise(bn.backward(gout), want_dx, "dx");
+        expect_bitwise(bn.gamma().grad, dgamma, "dgamma");
+        expect_bitwise(bn.beta().grad, dbeta, "dbeta");
+        expect_bitwise(bn.forward(x, /*train=*/false),
+                       loop_bn_eval(x, gamma, beta, want.running_mean,
+                                    want.running_var),
+                       "eval out");
+      }
+    }
+  }
+}
+
+TEST(FloatLayerOracle, ReLUMatchesLoopsBitwise) {
+  const std::vector<float> specials = {0.0f, -0.0f, kNaN};
+  ReLU relu;
+  int index = 0;
+  for (const Geom4& g : layer_geoms()) {
+    ODQ_PROP_CASE(pc, 10000 + index++);
+    Tensor x(Shape{g.n, g.c, g.h, g.w});
+    fill_special(pc.rng(), x, 3, specials);
+    Tensor gout(x.shape());
+    fill_special(pc.rng(), gout, 3, specials);
+    Tensor want(x.shape()), want_dx(x.shape());
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const bool pos = x[i] > 0.0f;
+      want[i] = pos ? x[i] : 0.0f;
+      want_dx[i] = pos ? gout[i] : 0.0f;
+    }
+    expect_bitwise(relu.forward(x, /*train=*/false), want, "eval out");
+    expect_bitwise(relu.forward(x, /*train=*/true), want, "train out");
+    expect_bitwise(relu.backward(gout), want_dx, "dx");
+  }
+}
+
+struct PoolLoop {
+  Tensor out;
+  std::vector<std::int64_t> argmax;
+};
+
+// k x k max pooling, stride k, as it ran: each window from -3.4e38f in
+// (ki, kj) order, keeping a value only when it is strictly greater, so a
+// NaN never wins and a tie keeps the first. The index starts at the
+// window's first element: a window nothing beats (all NaN) used to keep
+// index -1, and backward wrote its gradient in front of the tensor.
+PoolLoop loop_maxpool(const Tensor& x, std::int64_t k) {
+  const std::int64_t n = x.shape()[0], c = x.shape()[1];
+  const std::int64_t h = x.shape()[2], w = x.shape()[3];
+  const std::int64_t oh = h / k, ow = w / k;
+  PoolLoop r{Tensor(Shape{n, c, oh, ow}), {}};
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          float best = -3.4e38f;
+          std::int64_t best_idx = x.index4(b, ch, oy * k, ox * k);
+          for (std::int64_t ki = 0; ki < k; ++ki) {
+            for (std::int64_t kj = 0; kj < k; ++kj) {
+              const float v = x.at4(b, ch, oy * k + ki, ox * k + kj);
+              if (v > best) {
+                best = v;
+                best_idx = x.index4(b, ch, oy * k + ki, ox * k + kj);
+              }
+            }
+          }
+          r.out.at4(b, ch, oy, ox) = best;
+          r.argmax.push_back(best_idx);
+        }
+      }
+    }
+  }
+  return r;
+}
+
+TEST(FloatLayerOracle, MaxPool2dMatchesLoopsBitwise) {
+  int index = 0;
+  for (const std::int64_t k : {2, 3}) {
+    MaxPool2d pool(k);
+    for (const Geom4& g : layer_geoms()) {
+      ODQ_PROP_CASE(pc, 10100 + index++);
+      Tensor x(Shape{g.n, g.c, g.h, g.w});
+      // Small integers tie often; +0 against -0 ties too.
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        const int r = pc.rng().uniform_int(0, 19);
+        x[i] = r == 0 ? kNaN : r == 1 ? -0.0f : r == 2 ? 0.0f
+                                     : static_cast<float>(r % 5 - 2);
+      }
+      // An all-NaN window and an all -inf window: nothing beats -3.4e38f.
+      if (g.h >= k && g.w >= k) {
+        for (std::int64_t i = 0; i < k * k; ++i) {
+          x.at4(0, 0, i / k, i % k) = kNaN;
+          x.at4(g.n - 1, g.c - 1, g.h - k + i / k, g.w - k + i % k) =
+              -std::numeric_limits<float>::infinity();
+        }
+      }
+      const PoolLoop want = loop_maxpool(x, k);
+      expect_bitwise(pool.forward(x, /*train=*/false), want.out, "eval out");
+      expect_bitwise(pool.forward(x, /*train=*/true), want.out, "train out");
+      if (want.out.empty()) continue;  // a plane smaller than one window
+      Tensor gout(want.out.shape());
+      fill_special(pc.rng(), gout, 3, {0.0f, -0.0f, kNaN});
+      Tensor want_dx(x.shape());
+      for (std::int64_t i = 0; i < gout.numel(); ++i) {
+        want_dx[want.argmax[static_cast<std::size_t>(i)]] += gout[i];
+      }
+      expect_bitwise(pool.backward(gout), want_dx, "dx");
+    }
   }
 }
 

@@ -225,6 +225,16 @@ TEST(BatchNormLayer, ConstantChannelPassesNoInputGradient) {
   EXPECT_NEAR(bn.beta().grad[1], dead_dy, 1e-5);
 }
 
+// Backward reads its cached planes at the gradient's shape, so a gradient
+// of another shape is refused instead of read against the wrong planes.
+TEST(BatchNormLayer, BackwardRefusesAGradientOfAnotherShape) {
+  BatchNorm2d bn(2);
+  (void)bn.forward(random_tensor(Shape{2, 2, 3, 3}, 11), /*train=*/true);
+  EXPECT_THROW(bn.backward(Tensor(Shape{2, 2, 4, 4})), std::invalid_argument);
+  EXPECT_THROW(bn.backward(Tensor(Shape{3, 2, 3, 3})), std::invalid_argument);
+  EXPECT_NO_THROW(bn.backward(Tensor(Shape{2, 2, 3, 3})));
+}
+
 TEST(ReLULayer, ForwardMasksNegatives) {
   ReLU relu;
   Tensor x(Shape{4}, std::vector<float>{-1, 2, -3, 4});
@@ -243,6 +253,14 @@ TEST(ReLULayer, BackwardUsesMask) {
   Tensor dx = relu.backward(g);
   EXPECT_FLOAT_EQ(dx[0], 0);
   EXPECT_FLOAT_EQ(dx[1], 5);
+}
+
+TEST(ReLULayer, BackwardRefusesAGradientOfAnotherShape) {
+  ReLU relu;
+  (void)relu.forward(random_tensor(Shape{2, 3}, 12), /*train=*/true);
+  EXPECT_THROW(relu.backward(Tensor(Shape{2, 4})), std::invalid_argument);
+  EXPECT_THROW(relu.backward(Tensor(Shape{6})), std::invalid_argument);
+  EXPECT_NO_THROW(relu.backward(Tensor(Shape{2, 3})));
 }
 
 TEST(PoolingLayers, Shapes) {
