@@ -523,7 +523,7 @@ void print_header(const std::string& bench, const std::string& reproduces,
   std::printf("reproduces: %s\n", reproduces.c_str());
   std::printf("scale: %s (set ODQ_BENCH_SCALE=full for paper-sized runs)\n",
               scale().name.c_str());
-  std::printf("simd backend: %s (force with ODQ_SIMD=scalar|avx2|neon)\n",
+  std::printf("simd backend: %s (force with ODQ_SIMD=scalar|avx2)\n",
               simd::backend_name(simd::active_backend()));
   if (!note.empty()) std::printf("note: %s\n", note.c_str());
   std::printf("================================================================\n");

@@ -5,6 +5,7 @@
 //
 // Run: ./build/examples/edge_deployment
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 
 #include "accel/cyclesim/layer_engine.hpp"
@@ -16,7 +17,7 @@
 #include "nn/models.hpp"
 #include "nn/summary.hpp"
 #include "nn/trainer.hpp"
-#include "quant/qmodel_io.hpp"
+#include "quant/int4_export.hpp"
 
 int main() {
   using namespace odq;
@@ -87,7 +88,9 @@ int main() {
   std::printf("accepted threshold: %.3f\n", accepted_thr);
 
   const std::string ckpt = "edge_model.qbin";
-  const std::int64_t qbytes = quant::save_quantized_model(trainer_model, ckpt);
+  quant::export_int4(trainer_model, ckpt).throw_if_error();
+  const auto qbytes =
+      static_cast<std::int64_t>(std::filesystem::file_size(ckpt));
   std::printf("exported packed INT4 checkpoint: %lld bytes "
               "(float parameters would be %lld bytes, %.1fx larger)\n",
               static_cast<long long>(qbytes),
@@ -97,7 +100,7 @@ int main() {
 
   // --- Device side: reload and serve with ODQ. ---
   nn::Model device_model = nn::make_resnet20(10, 4);
-  quant::load_quantized_model(device_model, ckpt);
+  device_model.load(ckpt);
   std::remove(ckpt.c_str());
 
   core::OdqConfig cfg;

@@ -1,5 +1,6 @@
 #include "nn/model.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -80,24 +81,23 @@ namespace {
 using util::Status;
 using util::StatusCode;
 
-// Checkpoint formats.
-//
-// v2 (legacy, read only): magic "NQDO", u64 param count, params, u64 buffer
-// count, buffers (BatchNorm running statistics). Each tensor: u64 numel +
-// float payload. No shape records, no checksum.
-//
-// v3: magic "DOQ3", then a header — u32 version, u64 param count, u64
-// buffer count, one record per tensor (params then buffers: u8 dtype,
-// u8 rank, u64 dims[rank]), u64 payload byte count, u32 CRC32 over the
-// payload — followed by the payload (raw float data, tensors in record
-// order). Saves go through a tmp file and a rename so a crash mid-save
-// leaves the previous checkpoint (or nothing) behind, never a torn file.
-// The full layout and its failure taxonomy live in docs/robustness.md.
-constexpr std::uint32_t kMagicV2 = 0x4F44514EU;  // bytes "NQDO"
+// Checkpoint format v3: magic "DOQ3", then a header — u32 version, u64
+// param count, u64 buffer count, one record per tensor (params then
+// buffers: u8 dtype, u8 rank, u64 dims[rank]), u64 payload byte count, u32
+// CRC32 over the payload — followed by the payload (tensors in record
+// order). A dtype-0 tensor's payload is its raw floats; a dtype-1 tensor's
+// is its f32 scale, then ⌈numel/2⌉ bytes of two's-complement INT4 codes,
+// element 2i in the low nibble of byte i and 2i+1 in the high one (an odd
+// count leaves the last high nibble 0). Saves go through a tmp file and a
+// rename so a crash mid-save leaves the previous checkpoint (or nothing)
+// behind, never a torn file. The full layout and its failure taxonomy live
+// in docs/robustness.md.
 constexpr std::uint32_t kMagicV3 = 0x33514F44U;  // bytes "DOQ3"
 constexpr std::uint32_t kVersion3 = 3;
 constexpr std::uint8_t kDtypeF32 = 0;
+constexpr std::uint8_t kDtypeInt4 = 1;
 constexpr std::uint8_t kMaxRank = 8;
+constexpr int kInt4Max = 7;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -150,30 +150,104 @@ Status checked_read(std::FILE* f, void* data, std::size_t bytes,
   return Status::Ok();
 }
 
-std::size_t tensor_bytes(const tensor::Tensor& t) {
-  return static_cast<std::size_t>(t.numel()) * sizeof(float);
+// Payload bytes of one record.
+std::size_t payload_size(std::uint8_t dtype, std::int64_t numel) {
+  const auto n = static_cast<std::size_t>(numel);
+  return dtype == kDtypeF32 ? n * sizeof(float) : sizeof(float) + (n + 1) / 2;
+}
+
+// One tensor as the file stores it: its float values, or (dtype 1) the
+// packed payload built from its INT4 codes.
+struct Record {
+  const tensor::Tensor* values;
+  std::vector<unsigned char> int4;
+
+  std::uint8_t dtype() const { return int4.empty() ? kDtypeF32 : kDtypeInt4; }
+  const void* payload() const {
+    if (int4.empty()) return values->data();
+    return int4.data();
+  }
+  std::size_t bytes() const { return payload_size(dtype(), values->numel()); }
+};
+
+// The dtype-1 payload of parameter `p`, or kInvalidArgument for codes or a
+// scale the loader would refuse.
+Status pack_int4(const Param& p, const Int4Codes& q,
+                 std::vector<unsigned char>& out) {
+  const std::string what = "Model::save: INT4 record for " + p.name;
+  if (q.codes.shape() != p.value.shape()) {
+    return {StatusCode::kInvalidArgument,
+            what + " has shape " + q.codes.shape().str() + ", the parameter " +
+                p.value.shape().str()};
+  }
+  if (!(q.scale > 0.0f && std::isfinite(q.scale))) {
+    return {StatusCode::kInvalidArgument,
+            what + " has scale " + std::to_string(q.scale) +
+                ", not finite and positive"};
+  }
+  out.assign(payload_size(kDtypeInt4, q.codes.numel()), 0);
+  std::memcpy(out.data(), &q.scale, sizeof(float));
+  for (std::int64_t i = 0; i < q.codes.numel(); ++i) {
+    const int code = q.codes[i];
+    if (code < -kInt4Max || code > kInt4Max) {
+      return {StatusCode::kInvalidArgument,
+              what + " has code " + std::to_string(code) + " outside [-7, 7]"};
+    }
+    out[sizeof(float) + static_cast<std::size_t>(i / 2)] |=
+        static_cast<unsigned char>((code & 0xF) << (4 * (i % 2)));
+  }
+  return Status::Ok();
+}
+
+// Appends the n values code·scale of a dtype-1 payload. A scale that is not
+// finite and positive, the nibble of code -8, or a set pad nibble is
+// corruption.
+Status unpack_int4(const unsigned char* payload, std::int64_t n,
+                   std::vector<float>& out, const std::string& where) {
+  float scale = 0.0f;
+  std::memcpy(&scale, payload, sizeof(float));
+  if (!(scale > 0.0f && std::isfinite(scale))) {
+    return {StatusCode::kCorruption, "Model::load: INT4 scale " +
+                                         std::to_string(scale) +
+                                         " is not finite and positive for " +
+                                         where};
+  }
+  const unsigned char* codes = payload + sizeof(float);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const int nibble = (codes[i / 2] >> (4 * (i % 2))) & 0xF;
+    const int code = nibble <= kInt4Max ? nibble : nibble - 16;
+    if (code < -kInt4Max) {
+      return {StatusCode::kCorruption,
+              "Model::load: INT4 code -8 is outside [-7, 7] for " + where};
+    }
+    out.push_back(static_cast<float>(code) * scale);
+  }
+  if (n % 2 == 1 && (codes[n / 2] >> 4) != 0) {
+    return {StatusCode::kCorruption,
+            "Model::load: INT4 pad nibble is not 0 for " + where};
+  }
+  return Status::Ok();
 }
 
 // Tensor payload write with the bit-flip injection site:
 // when armed, the nth payload write lands on disk with one bit flipped
 // *after* the CRC was computed — the way real media corruption looks to a
 // reader. The save itself still reports success.
-Status write_payload(std::FILE* f, const tensor::Tensor& t,
-                     const std::string& path) {
-  const std::size_t bytes = tensor_bytes(t);
+Status write_payload(std::FILE* f, const Record& r, const std::string& path) {
+  const std::size_t bytes = r.bytes();
   if (util::fault_fire("ckpt.bitflip") && bytes > 0) {
     std::vector<unsigned char> corrupt(bytes);
-    std::memcpy(corrupt.data(), t.data(), bytes);
+    std::memcpy(corrupt.data(), r.payload(), bytes);
     corrupt[0] ^= 1U;
     return checked_write(f, corrupt.data(), bytes, "tensor payload", path);
   }
-  return checked_write(f, t.data(), bytes, "tensor payload", path);
+  return checked_write(f, r.payload(), bytes, "tensor payload", path);
 }
 
 // Gather params-then-buffers in serialization order.
-std::vector<const tensor::Tensor*> serialized_tensors(
+std::vector<tensor::Tensor*> serialized_tensors(
     std::vector<Param*>& ps, std::vector<tensor::Tensor*>& bs) {
-  std::vector<const tensor::Tensor*> out;
+  std::vector<tensor::Tensor*> out;
   out.reserve(ps.size() + bs.size());
   for (Param* p : ps) out.push_back(&p->value);
   for (tensor::Tensor* b : bs) out.push_back(b);
@@ -182,17 +256,34 @@ std::vector<const tensor::Tensor*> serialized_tensors(
 
 }  // namespace
 
-util::Status Model::try_save(const std::string& path) {
+util::Status Model::try_save(const std::string& path,
+                             const std::map<const Param*, Int4Codes>& int4) {
   auto ps = params();
   auto bs = buffers();
-  const auto tensors = serialized_tensors(ps, bs);
+  std::vector<Record> records;
+  records.reserve(ps.size() + bs.size());
+  std::size_t packed = 0;
+  for (const Param* p : ps) {
+    records.push_back({&p->value, {}});
+    const auto it = int4.find(p);
+    if (it == int4.end()) continue;
+    Status s = pack_int4(*p, it->second, records.back().int4);
+    if (!s.ok()) return s;
+    ++packed;
+  }
+  if (packed != int4.size()) {
+    return {StatusCode::kInvalidArgument,
+            "Model::save: an INT4 record names a tensor that is not a "
+            "parameter of this model"};
+  }
+  for (const tensor::Tensor* b : bs) records.push_back({b, {}});
 
-  // Pre-pass: payload size + CRC, streamed tensor-by-tensor.
+  // Pre-pass: payload size + CRC, streamed record-by-record.
   std::uint64_t payload_bytes = 0;
   std::uint32_t crc = util::crc32_init();
-  for (const tensor::Tensor* t : tensors) {
-    payload_bytes += tensor_bytes(*t);
-    crc = util::crc32_update(crc, t->data(), tensor_bytes(*t));
+  for (const Record& r : records) {
+    payload_bytes += r.bytes();
+    crc = util::crc32_update(crc, r.payload(), r.bytes());
   }
   const std::uint32_t payload_crc = util::crc32_final(crc);
 
@@ -217,14 +308,14 @@ util::Status Model::try_save(const std::string& path) {
     if (!s.ok()) return s;
     s = checked_write(f.get(), &bcount, sizeof(bcount), "buffer count", tmp);
     if (!s.ok()) return s;
-    for (const tensor::Tensor* t : tensors) {
-      const std::uint8_t dtype = kDtypeF32;
-      const auto rank = static_cast<std::uint8_t>(t->shape().rank());
+    for (const Record& r : records) {
+      const std::uint8_t dtype = r.dtype();
+      const auto rank = static_cast<std::uint8_t>(r.values->shape().rank());
       s = checked_write(f.get(), &dtype, sizeof(dtype), "tensor dtype", tmp);
       if (!s.ok()) return s;
       s = checked_write(f.get(), &rank, sizeof(rank), "tensor rank", tmp);
       if (!s.ok()) return s;
-      for (std::int64_t d : t->shape().dims()) {
+      for (std::int64_t d : r.values->shape().dims()) {
         const auto dim = static_cast<std::uint64_t>(d);
         s = checked_write(f.get(), &dim, sizeof(dim), "tensor dim", tmp);
         if (!s.ok()) return s;
@@ -236,8 +327,8 @@ util::Status Model::try_save(const std::string& path) {
     s = checked_write(f.get(), &payload_crc, sizeof(payload_crc),
                       "payload crc", tmp);
     if (!s.ok()) return s;
-    for (const tensor::Tensor* t : tensors) {
-      s = write_payload(f.get(), *t, tmp);
+    for (const Record& r : records) {
+      s = write_payload(f.get(), r, tmp);
       if (!s.ok()) return s;
     }
     return Status::Ok();
@@ -260,51 +351,6 @@ util::Status Model::try_save(const std::string& path) {
   return Status::Ok();
 }
 
-namespace {
-
-// Legacy v2 body (magic already consumed). Streams straight into the model
-// tensors — a failed v2 load may leave the model partially updated, which
-// is why v3 stages instead.
-Status load_v2_body(std::FILE* f, const std::string& path,
-                    std::vector<Param*>& ps, std::vector<tensor::Tensor*>& bs) {
-  auto read_tensor_v2 = [&](tensor::Tensor& t, const char* what) {
-    std::uint64_t n = 0;
-    Status s = checked_read(f, &n, sizeof(n), "tensor size", path);
-    if (!s.ok()) return s;
-    if (n != static_cast<std::uint64_t>(t.numel())) {
-      return Status(StatusCode::kFailedPrecondition,
-                    std::string("Model::load: ") + what +
-                        " size mismatch in " + path);
-    }
-    return checked_read(f, t.data(), tensor_bytes(t), what, path);
-  };
-  std::uint64_t pcount = 0;
-  Status s = checked_read(f, &pcount, sizeof(pcount), "param count", path);
-  if (!s.ok()) return s;
-  if (pcount != ps.size()) {
-    return Status(StatusCode::kFailedPrecondition,
-                  "Model::load: parameter count mismatch in " + path);
-  }
-  for (Param* p : ps) {
-    s = read_tensor_v2(p->value, "parameter");
-    if (!s.ok()) return s;
-  }
-  std::uint64_t bcount = 0;
-  s = checked_read(f, &bcount, sizeof(bcount), "buffer count", path);
-  if (!s.ok()) return s;
-  if (bcount != bs.size()) {
-    return Status(StatusCode::kFailedPrecondition,
-                  "Model::load: buffer count mismatch in " + path);
-  }
-  for (tensor::Tensor* b : bs) {
-    s = read_tensor_v2(*b, "buffer");
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 util::Status Model::try_load(const std::string& path) {
   auto ps = params();
   auto bs = buffers();
@@ -319,7 +365,6 @@ util::Status Model::try_load(const std::string& path) {
   std::uint32_t magic = 0;
   Status s = checked_read(f.get(), &magic, sizeof(magic), "magic", path);
   if (!s.ok()) return s;
-  if (magic == kMagicV2) return load_v2_body(f.get(), path, ps, bs);
   if (magic != kMagicV3) {
     return {StatusCode::kCorruption, "Model::load: bad magic in " + path};
   }
@@ -347,15 +392,17 @@ util::Status Model::try_load(const std::string& path) {
   }
 
   const auto tensors = serialized_tensors(ps, bs);
+  std::vector<std::uint8_t> dtypes(tensors.size());
   std::uint64_t expected_payload = 0;
   for (std::size_t i = 0; i < tensors.size(); ++i) {
     const tensor::Shape& shape = tensors[i]->shape();
-    std::uint8_t dtype = 0, rank = 0;
-    s = checked_read(f.get(), &dtype, sizeof(dtype), "tensor dtype", path);
+    std::uint8_t rank = 0;
+    s = checked_read(f.get(), &dtypes[i], sizeof(dtypes[i]), "tensor dtype",
+                     path);
     if (!s.ok()) return s;
-    if (dtype != kDtypeF32) {
+    if (dtypes[i] != kDtypeF32 && dtypes[i] != kDtypeInt4) {
       return {StatusCode::kCorruption,
-              "Model::load: unknown dtype " + std::to_string(dtype) +
+              "Model::load: unknown dtype " + std::to_string(dtypes[i]) +
                   " for tensor #" + std::to_string(i) + " in " + path};
     }
     s = checked_read(f.get(), &rank, sizeof(rank), "tensor rank", path);
@@ -383,7 +430,7 @@ util::Status Model::try_load(const std::string& path) {
                     shape.str() + ")"};
       }
     }
-    expected_payload += tensor_bytes(*tensors[i]);
+    expected_payload += payload_size(dtypes[i], tensors[i]->numel());
   }
 
   std::uint64_t payload_bytes = 0;
@@ -424,25 +471,37 @@ util::Status Model::try_load(const std::string& path) {
                 "; truncated or trailing garbage)"};
   }
 
-  // Stage the payload and verify the CRC before touching the model: a load
-  // that fails from here on leaves the previous weights fully intact.
-  std::vector<float> staged(static_cast<std::size_t>(payload_bytes) /
-                            sizeof(float));
-  s = checked_read(f.get(), staged.data(),
-                   static_cast<std::size_t>(payload_bytes), "payload", path);
+  // Stage the payload, verify the CRC and decode every record before
+  // touching the model: a load that fails from here on leaves the previous
+  // weights fully intact.
+  std::vector<unsigned char> staged(static_cast<std::size_t>(payload_bytes));
+  s = checked_read(f.get(), staged.data(), staged.size(), "payload", path);
   if (!s.ok()) return s;
-  const std::uint32_t crc = util::crc32(
-      staged.data(), static_cast<std::size_t>(payload_bytes));
-  if (crc != payload_crc) {
+  if (util::crc32(staged.data(), staged.size()) != payload_crc) {
     return {StatusCode::kCorruption,
             "Model::load: payload crc mismatch in " + path};
   }
+  std::vector<float> values;
+  const unsigned char* src = staged.data();
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    const std::int64_t n = tensors[i]->numel();
+    if (dtypes[i] == kDtypeF32) {
+      const std::size_t at = values.size();
+      values.resize(at + static_cast<std::size_t>(n));
+      std::memcpy(values.data() + at, src, payload_size(kDtypeF32, n));
+    } else {
+      s = unpack_int4(src, n, values,
+                      "tensor #" + std::to_string(i) + " in " + path);
+      if (!s.ok()) return s;
+    }
+    src += payload_size(dtypes[i], n);
+  }
 
-  const float* src = staged.data();
-  for (const tensor::Tensor* t : tensors) {
-    auto* dst = const_cast<tensor::Tensor*>(t);
-    std::memcpy(dst->data(), src, tensor_bytes(*t));
-    src += t->numel();
+  const float* v = values.data();
+  for (tensor::Tensor* t : tensors) {
+    std::memcpy(t->data(), v, static_cast<std::size_t>(t->numel()) *
+                                  sizeof(float));
+    v += t->numel();
   }
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 // conv enumeration and executor plumbing.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +12,13 @@
 #include "util/status.hpp"
 
 namespace odq::nn {
+
+// A parameter stored as signed INT4 codes and one scale (checkpoint dtype
+// 1); it loads as code·scale, the value QTensor::dequantize gives.
+struct Int4Codes {
+  tensor::TensorI8 codes;  // the parameter's shape, each code in [-7, 7]
+  float scale = 0.0f;      // finite and > 0
+};
 
 class Model {
  public:
@@ -54,17 +62,23 @@ class Model {
 
   // Binary parameter serialization (values only; architecture must match).
   //
-  // save() writes checkpoint format v3: a versioned header with per-tensor
-  // dtype/shape records, a CRC32 over the payload, and an atomic tmp+rename
-  // commit (a crash mid-save never destroys an existing checkpoint). load()
-  // reads v3 and legacy v2 files (distinguished by magic). The try_* forms
+  // try_save() writes checkpoint format v3 (docs/robustness.md): a header
+  // with per-tensor dtype/shape records, a CRC32 over the payload, and an
+  // atomic tmp+rename commit (a crash mid-save never destroys an existing
+  // checkpoint). Every tensor is stored as float (dtype 0), except the
+  // parameters named in `int4`, which are stored as packed INT4 codes and
+  // their scale (dtype 1); an INT4 record whose codes do not match its
+  // parameter's shape, whose code lies outside [-7, 7] or whose scale is
+  // not finite and positive is refused (kInvalidArgument). try_load() reads
+  // both kinds: a dtype-1 tensor loads as code·scale. The try_* forms
   // return a typed util::Status — corruption, truncation and architecture
-  // mismatch are distinguishable — and a failed v3 try_load leaves the
-  // model's tensors untouched (the payload is staged and CRC-verified
-  // before being committed). save()/load() wrap them and throw
+  // mismatch are distinguishable — and a failed try_load leaves the
+  // model's tensors untouched (the payload is staged, CRC-verified and
+  // decoded before being committed). save()/load() wrap them and throw
   // std::runtime_error on failure. Fault-injection sites on every
   // open/read/write are listed in docs/robustness.md.
-  util::Status try_save(const std::string& path);
+  util::Status try_save(const std::string& path,
+                        const std::map<const Param*, Int4Codes>& int4 = {});
   util::Status try_load(const std::string& path);
   void save(const std::string& path);
   void load(const std::string& path);

@@ -28,11 +28,6 @@ inline Model make_resnet20(std::int64_t num_classes = 10,
   return make_resnet(20, num_classes, base_width);
 }
 
-inline Model make_resnet56(std::int64_t num_classes = 10,
-                           std::int64_t base_width = 16) {
-  return make_resnet(56, num_classes, base_width);
-}
-
 // VGG-16 (CIFAR variant: 13 conv layers, global pooling head + 1 FC).
 // Channel counts are {64,128,256,512,512} scaled by width_mult/64.
 Model make_vgg16(std::int64_t num_classes = 10, std::int64_t width_mult = 64,

@@ -9,15 +9,35 @@ namespace odq::nn {
 using tensor::Shape;
 using tensor::Tensor;
 
+namespace {
+
+// A pooling backward needs a train forward before it (`input`, that
+// forward's input shape, is still empty without one: std::logic_error) and
+// a gradient shaped like that forward's output (std::invalid_argument).
+// k is the window size; 0 means global pooling, whose output is [N, C].
+void check_backward(const std::string& label, const Shape& input,
+                    const Shape& grad, std::int64_t k) {
+  if (input.rank() == 0) {
+    throw std::logic_error(label + ": backward before train-mode forward");
+  }
+  const Shape out = k == 0 ? Shape{input[0], input[1]}
+                           : Shape{input[0], input[1], input[2] / k,
+                                   input[3] / k};
+  if (grad != out) {
+    throw std::invalid_argument(label + ": gradient shape " + grad.str() +
+                                " is not the forward's " + out.str());
+  }
+}
+
+}  // namespace
+
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   if (train) input_shape_ = x.shape();
   return tensor::maxpool2d(x, k_, train ? &argmax_ : nullptr);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  if (argmax_.empty()) {
-    throw std::logic_error(label_ + ": backward before train-mode forward");
-  }
+  check_backward(label_, input_shape_, grad_out.shape(), k_);
   Tensor dx(input_shape_);
   for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
     dx[argmax_[i]] += grad_out[i];
@@ -31,6 +51,7 @@ Tensor AvgPool2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
+  check_backward(label_, input_shape_, grad_out.shape(), k_);
   const Shape& s = grad_out.shape();
   const std::int64_t n = s[0], c = s[1], oh = s[2], ow = s[3];
   Tensor dx(input_shape_);
@@ -58,6 +79,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
+  check_backward(label_, input_shape_, grad_out.shape(), 0);
   const std::int64_t n = input_shape_[0], c = input_shape_[1];
   const std::int64_t hw = input_shape_[2] * input_shape_[3];
   Tensor dx(input_shape_);

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <utility>
 
-#include "util/json.hpp"
 
 namespace odq::obs {
 
@@ -271,55 +270,6 @@ void fidelity_reset() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
   r.cells.clear();
-}
-
-namespace {
-
-void accum_to_json(util::JsonWriter& w, const std::string& key,
-                   const ErrorAccum& a) {
-  w.key(key);
-  w.begin_object();
-  w.kv("count", a.count);
-  w.kv("sqnr_db", a.sqnr_db());
-  w.kv("cosine", a.cosine());
-  w.kv("max_abs_err", a.err_max);
-  w.kv("mean_abs_err", a.mean_abs_err());
-  w.kv("rmse", a.rmse());
-  w.end_object();
-}
-
-}  // namespace
-
-void fidelity_to_json(util::JsonWriter& w) {
-  w.begin_array();
-  for (const FidelityLayerSnapshot& s : fidelity_snapshot()) {
-    w.begin_object();
-    w.kv("scheme", s.scheme);
-    w.kv("layer", static_cast<std::int64_t>(s.layer));
-    w.kv("calls", s.calls);
-    accum_to_json(w, "total", s.total);
-    if (s.predictor.count > 0) {
-      w.kv("threshold", static_cast<double>(s.threshold));
-      accum_to_json(w, "predictor_only", s.predictor);
-      accum_to_json(w, "sensitive", s.sensitive);
-      accum_to_json(w, "insensitive", s.insensitive);
-    }
-    if (!s.hist.empty()) {
-      w.key("pred_magnitude_hist");
-      w.begin_object();
-      w.kv("lo", s.hist_lo);
-      w.kv("hi", s.hist_hi);
-      w.kv("fraction_above_threshold",
-           s.hist_fraction_above(static_cast<double>(s.threshold)));
-      w.key("counts");
-      w.begin_array();
-      for (std::uint64_t c : s.hist) w.value(static_cast<std::uint64_t>(c));
-      w.end_array();
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
 }
 
 }  // namespace odq::obs

@@ -34,10 +34,6 @@
 #include <string>
 #include <vector>
 
-namespace odq::util {
-class JsonWriter;
-}  // namespace odq::util
-
 namespace odq::obs {
 
 // Global fidelity switch. Initialized from ODQ_FIDELITY on first query.
@@ -162,8 +158,5 @@ class FidelityScope {
 
 // Drop every cell (subsequent records re-create them).
 void fidelity_reset();
-
-// Serialize a snapshot as a JSON array of per-layer objects.
-void fidelity_to_json(util::JsonWriter& w);
 
 }  // namespace odq::obs

@@ -162,13 +162,6 @@ std::size_t ServeFrontEnd::backlog() const {
   return backlog_;
 }
 
-TenantStats ServeFrontEnd::tenant_stats(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tenant_index_.find(tenant);
-  if (it == tenant_index_.end()) return TenantStats{};
-  return tenants_[it->second]->stats;
-}
-
 std::map<std::string, TenantStats> ServeFrontEnd::all_tenant_stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::map<std::string, TenantStats> out;

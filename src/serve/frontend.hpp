@@ -112,7 +112,6 @@ class ServeFrontEnd {
   int degrade_level() const { return shed_.level(); }
   std::size_t backlog() const;
 
-  TenantStats tenant_stats(const std::string& tenant) const;
   std::map<std::string, TenantStats> all_tenant_stats() const;
 
   // One-glance health for the readiness probe.

@@ -34,13 +34,11 @@ Backend resolve_initial() {
       want = Backend::kScalar;
     } else if (v == "avx2") {
       want = Backend::kAvx2;
-    } else if (v == "neon") {
-      want = Backend::kNeon;
     } else {
       known = false;
     }
     if (!known) {
-      ODQ_LOG_WARN("simd: unknown ODQ_SIMD=%s (want scalar|avx2|neon); "
+      ODQ_LOG_WARN("simd: unknown ODQ_SIMD=%s (want scalar|avx2); "
                    "auto-selecting %s",
                    env, backend_name(best_backend()));
       return best_backend();
@@ -66,7 +64,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
   }
   return "?";
 }
@@ -75,15 +72,12 @@ bool backend_available(Backend b) {
   switch (b) {
     case Backend::kScalar: return true;
     case Backend::kAvx2: return avx2_kernels() != nullptr && cpu_has_avx2();
-    case Backend::kNeon: return neon_kernels() != nullptr;
   }
   return false;
 }
 
 Backend best_backend() {
-  if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kNeon)) return Backend::kNeon;
-  return Backend::kScalar;
+  return backend_available(Backend::kAvx2) ? Backend::kAvx2 : Backend::kScalar;
 }
 
 Backend active_backend() {
@@ -109,7 +103,6 @@ bool set_backend(Backend b) {
 const Kernels& active_kernels() {
   switch (active_backend()) {
     case Backend::kAvx2: return *avx2_kernels();
-    case Backend::kNeon: return *neon_kernels();
     case Backend::kScalar: break;
   }
   return scalar_kernels();

@@ -5,10 +5,10 @@
 // The integer kernels compute *integer* sums whose value is independent of
 // accumulation order, and the quantizer and the threshold epilogue are
 // elementwise and built from correctly rounded IEEE operations, so the
-// scalar reference, the AVX2 backend, and the NEON backend are
-// interchangeable bit-for-bit — the `simd`-labelled differential suite
-// (tests/simd/) sweeps every lane-boundary shape across all available
-// backends and asserts exactly that.
+// scalar reference and the AVX2 backend are interchangeable bit-for-bit —
+// the `simd`-labelled differential suite (tests/simd/) sweeps every
+// lane-boundary shape across all available backends and asserts exactly
+// that.
 //
 // The float GEMM tile is bit-exact for a different reason: it fixes the
 // order. Each output owns one accumulator and adds its terms one at a time,
@@ -160,30 +160,16 @@ struct Kernels {
 // The always-available scalar reference (kernels_scalar.cpp).
 const Kernels& scalar_kernels();
 
-// Scalar entries the NEON table reuses (kernels_neon.cpp).
-void tile_u8s8_scalar(const std::uint8_t* a, std::int64_t rows,
-                      const std::int8_t* w, std::int64_t filters,
-                      std::int64_t kp, int shift, std::int32_t* c,
-                      std::int64_t ldc);
-void tile_u8s8_exact_scalar(const std::uint8_t* a, std::int64_t rows,
-                            const std::int16_t* w, std::int64_t filters,
-                            std::int64_t kp, std::int32_t* c,
-                            std::int64_t ldc);
-std::int32_t dot_u8s8_scalar(const std::uint8_t* a, const std::int8_t* w,
-                             std::int64_t kp);
+// The scalar threshold epilogue; the AVX2 one finishes its tail with it.
 std::int64_t threshold_scalar(const std::int32_t* raw, std::int64_t n,
                               int lshift, float scale, float threshold,
                               std::int32_t* pred, std::int32_t* acc,
                               std::uint8_t* mask);
-void gemm_f32_tile_scalar(std::int64_t kc, const float* a, const float* b,
-                          float* c, std::int64_t ldc);
 
-// Vector backends. Each returns nullptr when its TU was not built with the
-// matching ISA (kernels_avx2.cpp is the only TU compiled with -mavx2, so a
-// plain x86-64 binary still loads; kernels_neon.cpp needs __ARM_NEON).
-// Availability at runtime additionally requires CPU support — dispatch.hpp
-// owns that check.
+// The AVX2 backend, or nullptr when its TU was not built with -mavx2 (it is
+// the only TU compiled with that flag, so a plain x86-64 binary still
+// loads). Availability at runtime additionally requires CPU support —
+// dispatch.hpp owns that check.
 const Kernels* avx2_kernels();
-const Kernels* neon_kernels();
 
 }  // namespace odq::simd

@@ -22,13 +22,6 @@ void quantize_act_scalar(const float* x, std::int64_t n, float scale,
   }
 }
 
-constexpr Kernels kScalarKernels = {
-    "scalar",         tile_u8s8_scalar, tile_u8s8_exact_scalar,
-    dot_u8s8_scalar,  threshold_scalar, quantize_act_scalar,
-    gemm_f32_tile_scalar};
-
-}  // namespace
-
 void tile_u8s8_scalar(const std::uint8_t* a, std::int64_t rows,
                       const std::int8_t* w, std::int64_t filters,
                       std::int64_t kp, int shift, std::int32_t* c,
@@ -72,23 +65,6 @@ std::int32_t dot_u8s8_scalar(const std::uint8_t* a, const std::int8_t* w,
   return s;
 }
 
-std::int64_t threshold_scalar(const std::int32_t* raw, std::int64_t n,
-                              int lshift, float scale, float threshold,
-                              std::int32_t* pred, std::int32_t* acc,
-                              std::uint8_t* mask) {
-  std::int64_t sensitive = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int32_t p = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(raw[i]) << lshift);
-    pred[i] = p;
-    acc[i] = p;
-    const bool sens = std::abs(static_cast<float>(p) * scale) >= threshold;
-    mask[i] = sens ? 1 : 0;
-    sensitive += sens ? 1 : 0;
-  }
-  return sensitive;
-}
-
 void gemm_f32_tile_scalar(std::int64_t kc, const float* a, const float* b,
                           float* c, std::int64_t ldc) {
   float acc[kGemmMr][kGemmNr];
@@ -107,6 +83,30 @@ void gemm_f32_tile_scalar(std::int64_t kc, const float* a, const float* b,
   for (std::int64_t r = 0; r < kGemmMr; ++r) {
     for (std::int64_t j = 0; j < kGemmNr; ++j) c[r * ldc + j] = acc[r][j];
   }
+}
+
+constexpr Kernels kScalarKernels = {
+    "scalar",         tile_u8s8_scalar, tile_u8s8_exact_scalar,
+    dot_u8s8_scalar,  threshold_scalar, quantize_act_scalar,
+    gemm_f32_tile_scalar};
+
+}  // namespace
+
+std::int64_t threshold_scalar(const std::int32_t* raw, std::int64_t n,
+                              int lshift, float scale, float threshold,
+                              std::int32_t* pred, std::int32_t* acc,
+                              std::uint8_t* mask) {
+  std::int64_t sensitive = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int32_t p = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(raw[i]) << lshift);
+    pred[i] = p;
+    acc[i] = p;
+    const bool sens = std::abs(static_cast<float>(p) * scale) >= threshold;
+    mask[i] = sens ? 1 : 0;
+    sensitive += sens ? 1 : 0;
+  }
+  return sensitive;
 }
 
 const Kernels& scalar_kernels() { return kScalarKernels; }

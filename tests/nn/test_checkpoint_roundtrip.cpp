@@ -2,16 +2,17 @@
 // generate a random small architecture, randomize every parameter and
 // buffer (including zeros, denormals, infinities and NaNs — a byte-level
 // format must preserve all of them), save, load into a freshly built copy
-// of the same architecture, and compare bit-for-bit.
+// of the same architecture, and compare bit-for-bit. The packed INT4 kind
+// gets random codes and scales, odd code counts included.
 //
 // Failures print a replay line; rerun with ODQ_TEST_SEED=<base>.
 #include <gtest/gtest.h>
 
-#include "common/checkpoint_v2.hpp"
 #include "common/temp_path.hpp"
 
 #include <cstdint>
 #include <cstdio>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -135,13 +136,23 @@ TEST_F(CheckpointRoundTrip, V3PreservesEveryBitPattern) {
   }
 }
 
-TEST_F(CheckpointRoundTrip, LegacyV2PreservesEveryBitPattern) {
-  for (std::uint64_t i = 50; i < 60; ++i) {
+// The conv weight as a packed record: it loads as code·scale, and every
+// other tensor keeps its bits.
+TEST_F(CheckpointRoundTrip, Int4RecordsLoadAsCodeTimesScale) {
+  for (std::uint64_t i = 50; i < 75; ++i) {
     ODQ_PROP_CASE(c, i);
     const ArchSpec spec = random_arch(c.rng());
     Model a = build_arch(spec);
     randomize(a, c.rng());
-    ASSERT_TRUE(testutil::save_v2(a, path_).ok());
+    Param& w = a.convs()[0]->weight();
+    const float mantissa = c.rng().uniform_f(1, 2);
+    Int4Codes q{tensor::TensorI8(w.value.shape()),
+                std::ldexp(mantissa, c.rng().uniform_int(-20, 4))};
+    for (std::int64_t j = 0; j < q.codes.numel(); ++j) {
+      q.codes[j] = static_cast<std::int8_t>(c.rng().uniform_int(-7, 7));
+      w.value[j] = static_cast<float>(q.codes[j]) * q.scale;
+    }
+    ASSERT_TRUE(a.try_save(path_, {{&w, q}}).ok());
 
     Model b = build_arch(spec);
     kaiming_init(b, 7);

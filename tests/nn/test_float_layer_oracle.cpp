@@ -481,7 +481,6 @@ TEST(FloatLayerOracle, MaxPool2dMatchesLoopsBitwise) {
       const PoolLoop want = loop_maxpool(x, k);
       expect_bitwise(pool.forward(x, /*train=*/false), want.out, "eval out");
       expect_bitwise(pool.forward(x, /*train=*/true), want.out, "train out");
-      if (want.out.empty()) continue;  // a plane smaller than one window
       Tensor gout(want.out.shape());
       fill_special(pc.rng(), gout, 3, {0.0f, -0.0f, kNaN});
       Tensor want_dx(x.shape());

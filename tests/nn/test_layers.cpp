@@ -275,6 +275,39 @@ TEST(PoolingLayers, Shapes) {
   EXPECT_EQ(fl.forward(x, false).shape(), Shape({2, 3 * 8 * 8}));
 }
 
+// Backward indexes its buffers at the forward's output shape, so a
+// gradient of another shape is refused instead of read or written past
+// them, and a backward before any train forward is a logic error.
+TEST(PoolingLayers, BackwardRefusesAGradientOfAnotherShape) {
+  const Tensor x = random_tensor(Shape{2, 3, 4, 4}, 13);
+  MaxPool2d mp(2);
+  AvgPool2d ap(2);
+  GlobalAvgPool gap;
+  EXPECT_THROW(mp.backward(Tensor(Shape{2, 3, 2, 2})), std::logic_error);
+  EXPECT_THROW(ap.backward(Tensor(Shape{2, 3, 2, 2})), std::logic_error);
+  EXPECT_THROW(gap.backward(Tensor(Shape{2, 3})), std::logic_error);
+  (void)mp.forward(x, /*train=*/true);
+  (void)ap.forward(x, /*train=*/true);
+  (void)gap.forward(x, /*train=*/true);
+  for (const Shape& bad : {Shape{2, 3, 4, 4}, Shape{2, 3, 2, 3},
+                           Shape{3, 3, 2, 2}, Shape{24}}) {
+    EXPECT_THROW(mp.backward(Tensor(bad)), std::invalid_argument);
+    EXPECT_THROW(ap.backward(Tensor(bad)), std::invalid_argument);
+  }
+  EXPECT_THROW(gap.backward(Tensor(Shape{2, 4})), std::invalid_argument);
+  EXPECT_THROW(gap.backward(Tensor(Shape{2, 3, 1, 1})), std::invalid_argument);
+  EXPECT_NO_THROW(mp.backward(Tensor(Shape{2, 3, 2, 2})));
+  EXPECT_NO_THROW(ap.backward(Tensor(Shape{2, 3, 2, 2})));
+  EXPECT_NO_THROW(gap.backward(Tensor(Shape{2, 3})));
+
+  // A plane smaller than one window pools to nothing and passes no gradient.
+  const Tensor tiny = random_tensor(Shape{1, 2, 1, 1}, 14);
+  (void)mp.forward(tiny, /*train=*/true);
+  const Tensor dx = mp.backward(Tensor(Shape{1, 2, 0, 0}));
+  EXPECT_EQ(dx.shape(), tiny.shape());
+  for (std::int64_t i = 0; i < dx.numel(); ++i) EXPECT_EQ(dx[i], 0.0f);
+}
+
 TEST(Loss, CrossEntropyOfUniformLogits) {
   Tensor logits(Shape{2, 4}, 0.0f);
   LossResult r = softmax_cross_entropy(logits, {0, 3});

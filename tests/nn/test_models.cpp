@@ -32,7 +32,7 @@ TEST(ModelZoo, ResNet20HasNineteenConvsPlusProjections) {
 }
 
 TEST(ModelZoo, ResNet56ConvCount) {
-  Model m = make_resnet56(10, /*base_width=*/4);
+  Model m = make_model("resnet56", /*width=*/4);
   // stem + 27 blocks * 2 + 2 projections
   EXPECT_EQ(m.convs().size(), 1u + 54u + 2u);
 }

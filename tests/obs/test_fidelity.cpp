@@ -1,6 +1,6 @@
 // Fidelity registry: golden error metrics on hand-computed tensors, ODQ
-// mask-side attribution, histogram bounds, JSON form, and snapshot
-// equality between a 1-thread and a 4-worker-pool executor run.
+// mask-side attribution, histogram bounds, and snapshot equality between a
+// 1-thread and a 4-worker-pool executor run.
 #include "obs/fidelity.hpp"
 
 #include <gtest/gtest.h>
@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "core/odq.hpp"
-#include "json_checker.hpp"
 #include "tensor/tensor.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace odq {
@@ -151,32 +149,6 @@ TEST_F(FidelityTest, OdqMaskSideAttribution) {
   EXPECT_EQ(s.hist.back(), 1u);  // 2.0 overflows into the last bin
   // Magnitudes at/above the 0.25 threshold: 0.3, 0.9, 2.0.
   EXPECT_DOUBLE_EQ(s.hist_fraction_above(0.25), 0.75);
-}
-
-TEST_F(FidelityTest, JsonFormRoundTrips) {
-  const float ref[] = {1.0f, 2.0f};
-  const float full[] = {1.0f, 2.5f};
-  const float mag[] = {0.2f, 0.6f};
-  const std::uint8_t mask[] = {0, 1};
-  obs::fidelity_record_odq("odq", 0, 0.4f, ref, full, full, mag, mask, 2);
-  obs::fidelity_record("drq", 0, ref, full, 2);
-
-  util::JsonWriter w;
-  obs::fidelity_to_json(w);
-  const testjson::Value doc = testjson::parse(w.take());
-  ASSERT_EQ(doc.arr.size(), 2u);  // drq sorts before odq
-  EXPECT_EQ(doc.arr[0].at("scheme").str, "drq");
-  EXPECT_FALSE(doc.arr[0].has("pred_magnitude_hist"));
-  const testjson::Value& odq_cell = doc.arr[1];
-  EXPECT_EQ(odq_cell.at("scheme").str, "odq");
-  EXPECT_EQ(odq_cell.at("total").at("count").num, 2.0);
-  EXPECT_TRUE(odq_cell.has("predictor_only"));
-  EXPECT_TRUE(odq_cell.has("sensitive"));
-  EXPECT_TRUE(odq_cell.has("insensitive"));
-  const testjson::Value& hist = odq_cell.at("pred_magnitude_hist");
-  // 4 x 0.4 with the threshold stored as float.
-  EXPECT_DOUBLE_EQ(hist.at("hi").num, 4.0 * static_cast<double>(0.4f));
-  EXPECT_EQ(hist.at("counts").arr.size(), obs::kFidelityHistBins);
 }
 
 // The acceptance property from docs/observability.md: for a sequential

@@ -183,8 +183,8 @@ TEST(ServeFrontEnd, QueueLimitRejectionIsTypedAndCounted) {
   auto refused = fe.submit(scalar_input(3.0f), "bronze");
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(fe.tenant_stats("bronze").rejected, 1u);
-  EXPECT_EQ(fe.tenant_stats("bronze").accepted, 2u);
+  EXPECT_EQ(fe.all_tenant_stats().at("bronze").rejected, 1u);
+  EXPECT_EQ(fe.all_tenant_stats().at("bronze").accepted, 2u);
   EXPECT_EQ(obs::counter("serve.rejected.bronze").total(), 1);
 
   state.release();
@@ -230,8 +230,8 @@ TEST(ServeFrontEnd, WeightedFairQueueingDrainsByWeight) {
   const std::vector<float> tail(state.run_order.begin() + 3,
                                 state.run_order.end());
   EXPECT_EQ(tail, (std::vector<float>{1, 2, 11, 3, 12, 13}));
-  EXPECT_EQ(fe.tenant_stats("gold").dispatched, 6u);
-  EXPECT_EQ(fe.tenant_stats("bronze").dispatched, 3u);
+  EXPECT_EQ(fe.all_tenant_stats().at("gold").dispatched, 6u);
+  EXPECT_EQ(fe.all_tenant_stats().at("bronze").dispatched, 3u);
 }
 
 TEST(ServeFrontEnd, ExpiredDeadlineIsShedAtDispatchWithoutRunning) {
@@ -247,7 +247,7 @@ TEST(ServeFrontEnd, ExpiredDeadlineIsShedAtDispatchWithoutRunning) {
   ASSERT_TRUE(r.ok()) << r.status().to_string();  // admission accepts it
   const InferResponse res = r.value().get();
   EXPECT_EQ(res.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(fe.tenant_stats("gold").deadline_shed, 1u);
+  EXPECT_EQ(fe.all_tenant_stats().at("gold").deadline_shed, 1u);
 
   fe.shutdown();
   engine.shutdown();
@@ -286,8 +286,8 @@ TEST(ServeFrontEnd, BestEffortTenantsDegradeUnderLoadGoldDoesNot) {
   EXPECT_EQ(gres.scheme, "echo");
   EXPECT_FLOAT_EQ(gres.output[0], 12.0f);
 
-  EXPECT_EQ(fe.tenant_stats("bronze").degraded, 1u);
-  EXPECT_EQ(fe.tenant_stats("gold").degraded, 0u);
+  EXPECT_EQ(fe.all_tenant_stats().at("bronze").degraded, 1u);
+  EXPECT_EQ(fe.all_tenant_stats().at("gold").degraded, 0u);
   for (auto& f : plugs) EXPECT_TRUE(f.get().status.ok());
   fe.shutdown();
   engine.shutdown();
@@ -318,7 +318,7 @@ TEST(ServeFrontEnd, Level2ShedsBestEffortAtAdmission) {
   auto shed = fe.submit(scalar_input(9.0f), "bronze");
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(fe.tenant_stats("bronze").shed, 1u);
+  EXPECT_EQ(fe.all_tenant_stats().at("bronze").shed, 1u);
 
   // Guaranteed traffic is still admitted at level 2.
   auto gold = fe.submit(scalar_input(3.0f), "gold");

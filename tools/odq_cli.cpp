@@ -3,6 +3,7 @@
 //   odq_cli summary  <model> [classes] [width]        print the layer table
 //   odq_cli train    <model> <out.bin> [epochs]       train on synthetic data
 //   odq_cli eval     <model> <weights.bin> [scheme]   evaluate a checkpoint
+//                                                     (float, or quantize's)
 //   odq_cli quantize <model> <weights.bin> <out.qbin> export packed INT4
 //   odq_cli table1                                    print the PE-allocation table
 //
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -23,7 +25,7 @@
 #include "nn/models.hpp"
 #include "nn/summary.hpp"
 #include "nn/trainer.hpp"
-#include "quant/qmodel_io.hpp"
+#include "quant/int4_export.hpp"
 #include "quant/static_executor.hpp"
 #include "tool_main.hpp"
 
@@ -148,10 +150,10 @@ int tool_main(int argc, char** argv) {
     if (cmd == "quantize" && argc >= 5) {
       nn::Model m = build(argv[2], 10, 8);
       m.load(argv[3]);
-      const std::int64_t bytes = quant::save_quantized_model(m, argv[4]);
+      quant::export_int4(m, argv[4]).throw_if_error();
       std::printf("exported packed INT4 checkpoint: %lld bytes (float: %lld)\n",
-                  static_cast<long long>(bytes),
-                  static_cast<long long>(m.num_parameters() * 4));
+                  static_cast<long long>(std::filesystem::file_size(argv[4])),
+                  static_cast<long long>(std::filesystem::file_size(argv[3])));
       return 0;
     }
   }
