@@ -14,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "nn/conv2d.hpp"
@@ -163,23 +164,43 @@ TEST_F(Packing, KnownLayoutLittleEndianWithinByte) {
 
 TEST_F(Packing, SignedFieldsUseTwosComplement) {
   EXPECT_EQ(packed_pair(-1, -7), 0x9F);  // -1 -> 0xF low, -7 -> 0x9 high
+  EXPECT_EQ(packed_pair(-7, -1), 0xF9);
+}
 
-  // Every code -7..7 loads as code·scale; an odd count leaves the last
-  // byte's high nibble 0.
+using PackParam = std::tuple<int, bool>;  // bits, signed
+
+class PackRoundTrip : public Packing,
+                      public ::testing::WithParamInterface<PackParam> {};
+
+// Every code of the width loads as code·scale; an odd count leaves the last
+// byte's high nibble 0.
+TEST_P(PackRoundTrip, AllValuesRoundTrip) {
+  const auto [bits, is_signed] = GetParam();
+  const int hi = (1 << (bits - 1)) - 1;
+  const int lo = is_signed ? -hi : 0;
   std::vector<std::int8_t> codes;
-  for (int v = -7; v <= 7; ++v) codes.push_back(static_cast<std::int8_t>(v));
-  Model a = one_conv(1, 15, 1);
+  for (int v = lo; v <= hi; ++v) codes.push_back(static_cast<std::int8_t>(v));
+  if (codes.size() % 2 == 0) codes.push_back(static_cast<std::int8_t>(lo));
+  const auto n = static_cast<std::int64_t>(codes.size());
+
+  Model a = one_conv(1, n, 1);
   ASSERT_TRUE(a.try_save(path_, int4_weight(a, codes, 0.375f)).ok());
-  EXPECT_EQ(static_cast<unsigned char>(read_file(path_).back()), 0x07);
-  Model b = one_conv(1, 15, 1);
+  EXPECT_EQ(static_cast<unsigned char>(read_file(path_).back()),
+            static_cast<unsigned char>(codes.back()) & 0x0F);
+  Model b = one_conv(1, n, 1);
   ASSERT_TRUE(b.try_load(path_).ok());
   const tensor::Tensor& w = b.convs()[0]->weight().value;
-  for (std::int64_t i = 0; i < 15; ++i) {
+  for (std::int64_t i = 0; i < n; ++i) {
     EXPECT_EQ(w[i], static_cast<float>(codes[static_cast<std::size_t>(i)]) *
                         0.375f)
         << "code " << static_cast<int>(codes[static_cast<std::size_t>(i)]);
   }
 }
+
+// The record stores signed INT4 only; -8 is outside its symmetric range
+// (RejectsOutOfRangeCodes).
+INSTANTIATE_TEST_SUITE_P(Widths, PackRoundTrip,
+                         ::testing::Values(PackParam{4, true}));
 
 // -8 fits a nibble but lies outside the symmetric INT4 range the quantizer
 // uses: the writer refuses it, and the loader refuses its nibble.
